@@ -277,48 +277,56 @@ let new_bucket_after t p b =
 (* ------------------------------------------------------------------ *)
 (* Bottom level: local tags inside one bucket of one plane.            *)
 
+(* Give the [count] items of plane [p] that start at [first] evenly
+   spread local tags and bucket [b]; returns the last of them. *)
+let spread t p first count b =
+  let items = t.items in
+  let base = p.base in
+  let cell = universe / count in
+  let it = ref first in
+  let tag = ref (cell / 2) in
+  for i = 1 to count do
+    let ir = (!it lsl stride_bits) + base in
+    items.(ir + f_tag) <- !tag;
+    items.(ir + f_bkt) <- b;
+    tag := !tag + cell;
+    if i < count then it := items.(ir + f_next)
+  done;
+  !it
+
 let respace t p b =
   let count = p.b_size.(b) in
   if count > 0 then begin
     Om_intf.count_pass p.st count;
     Spr_obs.Sink.emit_om_relabel t.sink ~om:name ~moved:count;
-    let cell = universe / count in
-    let items = t.items in
-    let base = p.base in
-    let it = ref p.b_first.(b) in
-    let tag = ref (cell / 2) in
-    for _ = 1 to count do
-      items.((!it lsl stride_bits) + base + f_tag) <- !tag;
-      tag := !tag + cell;
-      it := items.((!it lsl stride_bits) + base + f_next)
-    done
+    ignore (spread t p p.b_first.(b) count b)
   end
 
 (* Split a full bucket: move its upper half into a fresh bucket placed
-   right after it in this plane, then respace both halves. *)
+   right after it in this plane, and respace both halves.  One walk does
+   it all: the kept half gets the tags [respace] would give it, and the
+   walk goes on from its last item to give the moved half its tags and
+   new bucket.  The counter updates and sink events are those of
+   [respace] on each half, in the same order. *)
 let split t p b =
+  let b' = new_bucket_after t p b in
   let items = t.items in
   let base = p.base in
   let keep = p.b_size.(b) / 2 in
-  let last_kept = ref p.b_first.(b) in
-  for _ = 2 to keep do
-    last_kept := items.((!last_kept lsl stride_bits) + base + f_next)
-  done;
-  let moved_first = items.((!last_kept lsl stride_bits) + base + f_next) in
-  let b' = new_bucket_after t p b in
-  items.((!last_kept lsl stride_bits) + base + f_next) <- nil;
+  let moved = p.b_size.(b) - keep in
+  let kr = (spread t p p.b_first.(b) keep b lsl stride_bits) + base in
+  let moved_first = items.(kr + f_next) in
+  items.(kr + f_next) <- nil;
   items.((moved_first lsl stride_bits) + base + f_prev) <- nil;
+  ignore (spread t p moved_first moved b');
   p.b_first.(b') <- moved_first;
-  p.b_size.(b') <- p.b_size.(b) - keep;
+  p.b_size.(b') <- moved;
   p.b_size.(b) <- keep;
-  let it = ref moved_first in
-  while !it <> nil do
-    items.((!it lsl stride_bits) + base + f_bkt) <- b';
-    it := items.((!it lsl stride_bits) + base + f_next)
-  done;
   Spr_obs.Sink.emit_om_bucket_split t.sink ~om:name;
-  respace t p b;
-  respace t p b'
+  Om_intf.count_pass p.st keep;
+  Spr_obs.Sink.emit_om_relabel t.sink ~om:name ~moved:keep;
+  Om_intf.count_pass p.st moved;
+  Spr_obs.Sink.emit_om_relabel t.sink ~om:name ~moved
 
 let local_gap_after t p x =
   let items = t.items in
@@ -352,6 +360,44 @@ let link_after t p x y =
   p.b_size.(b) <- p.b_size.(b) + 1;
   p.st.Om_intf.inserts <- p.st.Om_intf.inserts + 1
 
+(* Link [a] immediately after [x], then [b] immediately after [a], in
+   plane [p] — [link_after t p x a; link_after t p a b] with one bucket,
+   tag and gap lookup.  When [x]'s bucket has room for both and the gap
+   after [x] holds both, neither step would split or respace, so the
+   tags are computed with the same arithmetic the two steps would use:
+   [a] halves the gap after [x], [b] halves what is left after [a].
+   Anywhere else the two steps run as they are, so the state reached is
+   the same one in every case. *)
+let link_pair t p x a b =
+  let items = t.items in
+  let base = p.base in
+  let xr = (x lsl stride_bits) + base in
+  let bx = items.(xr + f_bkt) in
+  let nx = items.(xr + f_next) in
+  let hi = if nx = nil then universe else items.((nx lsl stride_bits) + base + f_tag) in
+  let xtag = items.(xr + f_tag) in
+  let gap = hi - xtag - 1 in
+  if p.b_size.(bx) <= capacity - 2 && gap >= 2 then begin
+    let ar = (a lsl stride_bits) + base and br = (b lsl stride_bits) + base in
+    let atag = xtag + 1 + ((gap - 1) / 2) in
+    items.(ar + f_tag) <- atag;
+    items.(ar + f_prev) <- x;
+    items.(ar + f_next) <- b;
+    items.(ar + f_bkt) <- bx;
+    items.(br + f_tag) <- atag + 1 + ((hi - atag - 2) / 2);
+    items.(br + f_prev) <- a;
+    items.(br + f_next) <- nx;
+    items.(br + f_bkt) <- bx;
+    (if nx <> nil then items.((nx lsl stride_bits) + base + f_prev) <- b);
+    items.(xr + f_next) <- a;
+    p.b_size.(bx) <- p.b_size.(bx) + 2;
+    p.st.Om_intf.inserts <- p.st.Om_intf.inserts + 2
+  end
+  else begin
+    link_after t p x a;
+    link_after t p a b
+  end
+
 (* ------------------------------------------------------------------ *)
 (* The fused ADT.                                                      *)
 
@@ -365,18 +411,10 @@ let insert_children_packed t x ~parallel =
   check_alive "Om_fused.insert_children" t x;
   let l = alloc_item t in
   let r = alloc_item t in
-  (* English: left right after x, right after left. *)
-  link_after t t.eng x l;
-  link_after t t.eng l r;
-  (* Hebrew: flipped at P-nodes. *)
-  if parallel then begin
-    link_after t t.heb x r;
-    link_after t t.heb r l
-  end
-  else begin
-    link_after t t.heb x l;
-    link_after t t.heb l r
-  end;
+  (* English: left right after x, right after left.  Hebrew: flipped
+     at P-nodes. *)
+  link_pair t t.eng x l r;
+  if parallel then link_pair t t.heb x r l else link_pair t t.heb x l r;
   t.size <- t.size + 2;
   (l lsl 31) lor r
 
@@ -406,17 +444,28 @@ let precedes_heb t x y =
   check_alive "Om_fused.precedes" t y;
   precedes_plane t t.heb x y
 
+(* English order of two operands with their liveness check folded in:
+   the English bucket fields the comparison needs are the ones that
+   hold [dead] for a dead slot, so each is loaded once for both. *)
+let precedes_eng_checked ctx t x y =
+  let top = t.i_top in
+  if x < 0 || y < 0 || x >= top || y >= top then invalid_arg (ctx ^ ": deleted element");
+  let items = t.items in
+  let xr = (x lsl stride_bits) + eng_base and yr = (y lsl stride_bits) + eng_base in
+  let bx = items.(xr + f_bkt) and by = items.(yr + f_bkt) in
+  if bx < 0 || by < 0 then invalid_arg (ctx ^ ": deleted element");
+  if bx = by then items.(xr + f_tag) < items.(yr + f_tag) else t.eng.b_tag.(bx) < t.eng.b_tag.(by)
+
 (* Both labels of both operands come out of two stride-8 records — one
    fused query instead of two structure lookups. *)
 let sp_precedes t x y =
-  check_alive "Om_fused.sp_precedes" t x;
-  check_alive "Om_fused.sp_precedes" t y;
-  precedes_plane t t.eng x y && precedes_plane t t.heb x y
+  precedes_eng_checked "Om_fused.sp_precedes" t x y && precedes_plane t t.heb x y
 
 let sp_parallel t x y =
-  check_alive "Om_fused.sp_parallel" t x;
-  check_alive "Om_fused.sp_parallel" t y;
-  precedes_plane t t.eng x y <> precedes_plane t t.heb x y
+  (* OCaml evaluates [<>]'s right operand first; the let makes the
+     liveness check run before the Hebrew loads. *)
+  let eng = precedes_eng_checked "Om_fused.sp_parallel" t x y in
+  eng <> precedes_plane t t.heb x y
 
 (* Unlink [e] from plane [p], retiring the plane's bucket if it
    empties. *)

@@ -417,11 +417,37 @@ let check_same_stats label (got : Spr_om.Om_intf.stats) (want : Spr_om.Om_intf.s
   Alcotest.(check int) (label ^ " items moved") want.items_moved got.items_moved;
   Alcotest.(check int) (label ^ " max range") want.max_range got.max_range
 
+(* Anchor policies for [fused_matches_boxed_pair].  [Mixed] picks a
+   random live anchor and deletes a quarter of the time.  A [Hammer]
+   runs [hammer_rounds] pairs, always after the base or always after
+   the newest left child.  Without churn it only inserts: the anchor's
+   bucket fills and splits over and over, so a pair lands in buckets of
+   60, 61 and 62 items.  With churn it also deletes zero, one or two of
+   the newest earlier pairs each round: the bucket's size random-walks
+   and seldom splits, so the gap after the anchor keeps shrinking —
+   halved after the base, quartered after the newest left child, whose
+   gap ends at its right sibling's tag — down to 3, 2, 1 or 0, and is
+   respaced, from a different bucket size each time.  Together they
+   cover both sides of each bound of the pair fast path in [Om_fused],
+   and a wrong tag for either child of a pair shifts a later respace. *)
+type anchor_policy = Mixed | Hammer of { at_base : bool; churn : bool }
+
+let hammer_rounds = 2_000
+
 let fused_matches_boxed_pair =
   QCheck2.Test.make ~count:60
     ~name:"om-fused: counters bit-identical to boxed English+Hebrew pair"
-    QCheck2.Gen.(pair (0 -- 1_000_000) (5 -- 120))
-    (fun (seed, rounds) ->
+    QCheck2.Gen.(
+      triple (0 -- 1_000_000) (5 -- 120)
+        (oneofl
+           [
+             Mixed;
+             Hammer { at_base = true; churn = false };
+             Hammer { at_base = false; churn = false };
+             Hammer { at_base = true; churn = true };
+             Hammer { at_base = false; churn = true };
+           ]))
+    (fun (seed, rounds, policy) ->
       let module F = Spr_om.Om_fused in
       let module O = Spr_om.Om in
       let rng = Rng.create seed in
@@ -430,33 +456,56 @@ let fused_matches_boxed_pair =
       (* live.(i) = (fused elt, boxed English elt, boxed Hebrew elt) *)
       let live = Spr_util.Vec.create () in
       Spr_util.Vec.push live (F.base f, O.base eng, O.base heb);
-      for _ = 1 to rounds do
+      let delete (fe, be, bh) =
+        F.delete f fe;
+        O.delete eng be;
+        O.delete heb bh
+      in
+      let newest_left = ref (Spr_util.Vec.get live 0) in
+      let rounds = if policy = Mixed then rounds else hammer_rounds in
+      for round = 1 to rounds do
         (match Rng.int rng 4 with
-        | 3 when Spr_util.Vec.length live > 1 ->
+        | 3 when policy = Mixed && Spr_util.Vec.length live > 1 ->
             let idx = 1 + Rng.int rng (Spr_util.Vec.length live - 1) in
-            let fe, be, bh = Spr_util.Vec.get live idx in
-            F.delete f fe;
-            O.delete eng be;
-            O.delete heb bh;
+            delete (Spr_util.Vec.get live idx);
             (match Spr_util.Vec.pop live with
             | Some last -> if idx < Spr_util.Vec.length live then Spr_util.Vec.set live idx last
             | None -> assert false)
         | _ ->
-            let fe, be, bh = Spr_util.Vec.get live (Rng.int rng (Spr_util.Vec.length live)) in
+            let fe, be, bh =
+              match policy with
+              | Mixed -> Spr_util.Vec.get live (Rng.int rng (Spr_util.Vec.length live))
+              | Hammer { at_base = true; _ } -> Spr_util.Vec.get live 0
+              | Hammer { at_base = false; _ } -> !newest_left
+            in
             let parallel = Rng.bool rng in
             let fl, fr = F.insert_children f fe ~parallel in
             let (le, lh), (re, rh) = fused_link_boxed eng heb be bh ~parallel in
+            (* A hammer deletes only from the tail (never the base at
+               index 0), so the tail pairs are the newest. *)
+            (match policy with
+            | Hammer { churn = true; _ } ->
+                for _ = 1 to min (2 * Rng.int rng 3) (Spr_util.Vec.length live - 1) do
+                  Option.iter delete (Spr_util.Vec.pop live)
+                done
+            | Mixed | Hammer _ -> ());
+            newest_left := (fl, le, lh);
             Spr_util.Vec.push live (fl, le, lh);
             Spr_util.Vec.push live (fr, re, rh));
-        F.check_invariants f
+        if policy = Mixed || round mod 100 = 0 then F.check_invariants f
       done;
+      F.check_invariants f;
       check_same_stats "English" (F.stats_eng f) (O.stats eng);
       check_same_stats "Hebrew" (F.stats_heb f) (O.stats heb);
-      (* ... and the answers agree on every sampled live pair. *)
+      (* ... and the answers agree on every sampled live pair: random
+         ones, and siblings (adjacent in [live]), whose tags sit closest
+         together in both orders. *)
       let n = Spr_util.Vec.length live in
-      for _ = 1 to 200 do
-        let fa, ba, ha = Spr_util.Vec.get live (Rng.int rng n) in
-        let fb, bb, hb = Spr_util.Vec.get live (Rng.int rng n) in
+      for k = 1 to 400 do
+        let i = Rng.int rng n in
+        let j = if k land 1 = 0 then Rng.int rng n else min (i + 1) (n - 1) in
+        let fa, ba, ha = Spr_util.Vec.get live i in
+        let fb, bb, hb = Spr_util.Vec.get live j in
         if fa <> fb then begin
           Alcotest.(check bool) "English precedes" (O.precedes eng ba bb) (F.precedes_eng f fa fb);
           Alcotest.(check bool) "Hebrew precedes" (O.precedes heb ha hb) (F.precedes_heb f fa fb);
@@ -514,16 +563,28 @@ let fused_free_list_reuse =
 let fused_use_after_delete () =
   let module F = Spr_om.Om_fused in
   let t = F.create () in
+  (* Both SP queries reject a bad handle in either operand position. *)
+  let queries_reject what x y =
+    List.iter
+      (fun (qname, q) ->
+        let expect = Invalid_argument ("Om_fused." ^ qname ^ ": deleted element") in
+        Alcotest.check_raises (qname ^ " rejects " ^ what) expect (fun () -> ignore (q t x y));
+        Alcotest.check_raises (qname ^ " rejects " ^ what ^ " (swapped)") expect (fun () ->
+            ignore (q t y x)))
+      [ ("sp_precedes", F.sp_precedes); ("sp_parallel", F.sp_parallel) ]
+  in
   let l, r = F.insert_children t (F.base t) ~parallel:true in
   F.delete t r;
-  Alcotest.check_raises "use after delete rejected"
-    (Invalid_argument "Om_fused.sp_precedes: deleted element") (fun () ->
-      ignore (F.sp_precedes t l r));
+  queries_reject "a deleted handle" l r;
+  queries_reject "a negative handle" l (-1);
+  queries_reject "a very negative handle" l min_int;
   Alcotest.check_raises "base cannot be deleted"
     (Invalid_argument "Om_fused.delete: cannot delete base") (fun () -> F.delete t (F.base t));
   (* reset rewinds to the one-element state and invalidates old handles *)
   F.reset t;
   Alcotest.(check int) "reset leaves only the base" 1 (F.size t);
+  Alcotest.(check bool) "stale handle is past the slots in use" true (l >= F.item_slots t);
+  queries_reject "a stale handle after reset" (F.base t) l;
   Alcotest.check_raises "stale handle rejected after reset"
     (Invalid_argument "Om_fused.delete: deleted element") (fun () -> F.delete t l)
 
