@@ -39,7 +39,7 @@ let create tree =
   reset t ~nodes:(Sp_tree.node_count tree) ~root:(Sp_tree.root tree).id;
   t
 
-let elt t id =
+let handle t id =
   let e = t.elt_of.(id) in
   if e = unset then invalid_arg "Sp_order_fused: node not discovered (or released)";
   e
@@ -47,7 +47,7 @@ let elt t id =
 (* Lines 4-7 of Figure 5, fused: both orders updated by one packed
    child-pair insertion.  Raw ids; allocation-free. *)
 let enter t ~parent ~left ~right ~parallel =
-  let lr = Om_fused.insert_children_packed t.om (elt t parent) ~parallel in
+  let lr = Om_fused.insert_children_packed t.om (handle t parent) ~parallel in
   t.elt_of.(left) <- Om_fused.packed_left lr;
   t.elt_of.(right) <- Om_fused.packed_right lr
 
@@ -63,9 +63,9 @@ let on_event t ev =
   | Sp_tree.Mid _ | Sp_tree.Thread _ | Sp_tree.Exit _ -> ()
 
 (* Lines 10-12 of Figure 5 / Corollary 2, on raw ids. *)
-let precedes_id t x y = Om_fused.sp_precedes t.om (elt t x) (elt t y)
+let precedes_id t x y = Om_fused.sp_precedes t.om (handle t x) (handle t y)
 
-let parallel_id t x y = Om_fused.sp_parallel t.om (elt t x) (elt t y)
+let parallel_id t x y = Om_fused.sp_parallel t.om (handle t x) (handle t y)
 
 let precedes t (x : Sp_tree.node) (y : Sp_tree.node) = precedes_id t x.id y.id
 

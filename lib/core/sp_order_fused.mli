@@ -33,6 +33,12 @@ val enter : t -> parent:int -> left:int -> right:int -> parallel:bool -> unit
     Allocation-free.
     @raise Invalid_argument if [parent] is undiscovered. *)
 
+val handle : t -> int -> Spr_om.Om_fused.elt
+(** The fused element of a node id, for callers that resolve a node
+    once and then query {!om} directly.  Valid until the next {!reset}
+    or until the node is released.
+    @raise Invalid_argument if the id is undiscovered. *)
+
 val precedes_id : t -> int -> int -> bool
 (** [precedes]/[parallel] on raw node ids (allocation-free). *)
 

@@ -1,6 +1,7 @@
 module V = Spr_util.Varint
 module D = Spr_race.Detector
 module Sp = Spr_core.Sp_order_fused
+module Om_fused = Spr_om.Om_fused
 module Hook = Spr_schedhook.Hook
 module Sharded = Spr_obs.Sharded
 
@@ -46,7 +47,7 @@ type t = {
   tasks : (unit -> unit) array;  (* drain thunks, built once *)
   sp : Sp.t;
   clock : Spr_hb.Stream_clock.t option;  (* Some iff a clock oracle *)
-  leaf : int array ref;  (* tid -> leaf node id, -1 = not yet run *)
+  handles : int array ref;  (* tid -> the thread's fused element, -1 = not yet run *)
   precedes : executed:int -> current:int -> bool;
   mutable det : D.t;  (* the single-shard detector *)
   mutable det_locs : int;
@@ -100,20 +101,23 @@ let create ?(shards = 1) ?(batch = 8192) ?(oracle = Sp_fused) ?runner () =
     invalid_arg "Server.create: clock oracles (hb-vector, hb-tree) require shards = 1";
   let sp = Sp.create_raw () in
   Sp.reset sp ~nodes:1 ~root:0;
-  let leaf = ref (Array.make 64 (-1)) in
+  let om = Sp.om sp in
+  let handles = ref (Array.make 64 (-1)) in
   let clock =
     match oracle with
     | Sp_fused -> None
     | Hb_vector -> Some (Spr_hb.Stream_clock.vector ())
     | Hb_tree -> Some (Spr_hb.Stream_clock.tree ())
   in
+  (* Lemma 1 on the two threads' fused elements; [current] is the
+     running thread, which the walk pins at its THREAD frame. *)
   let precedes =
     match clock with
     | Some c -> c.Spr_hb.Stream_clock.precedes
     | None ->
         fun ~executed ~current ->
-          let l = !leaf in
-          Sp.precedes_id sp l.(executed) l.(current)
+          let h = !handles in
+          Om_fused.sp_precedes om h.(executed) h.(current)
   in
   let shard_arr =
     if shards = 1 then [||]
@@ -138,7 +142,7 @@ let create ?(shards = 1) ?(batch = 8192) ?(oracle = Sp_fused) ?runner () =
     tasks = Array.map (fun sh () -> Shard.drain sh) shard_arr;
     sp;
     clock;
-    leaf;
+    handles;
     precedes;
     det = D.create ~locs:1 ~precedes ();
     det_locs = 1;
@@ -269,11 +273,16 @@ let rec body t s =
     let _cost = V.get s t.pos in
     if tid < 0 || tid >= t.p_threads then
       corrupt_here t "thread id %d out of range (header declared %d)" tid t.p_threads;
-    let l = !(t.leaf) in
-    if l.(tid) >= 0 then corrupt_here t "duplicate THREAD frame for tid %d" tid;
+    let h = !(t.handles) in
+    if h.(tid) >= 0 then corrupt_here t "duplicate THREAD frame for tid %d" tid;
     let n = alloc2 t in
     Sp.enter t.sp ~parent:t.ictx ~left:n ~right:(n + 1) ~parallel:false;
-    l.(tid) <- n;
+    let e = Sp.handle t.sp n in
+    h.(tid) <- e;
+    (* The OM holds still until the next structural frame, so every
+       query this thread's accesses make can reuse its labels.  Shard
+       drains read the pin only while this domain waits in [flush]. *)
+    Om_fused.pin (Sp.om t.sp) e;
     t.ictx <- n + 1;
     t.cur_tid <- tid;
     (match t.clock with Some c -> c.Spr_hb.Stream_clock.thread tid | None -> ());
@@ -353,8 +362,8 @@ let start_program t s =
   t.p_locs <- locs;
   t.nodes_bound <- nodes;
   Sp.reset t.sp ~nodes ~root:0;
-  if threads > Array.length !(t.leaf) then t.leaf := Array.make (2 * threads) (-1)
-  else Array.fill !(t.leaf) 0 threads (-1);
+  if threads > Array.length !(t.handles) then t.handles := Array.make (2 * threads) (-1)
+  else Array.fill !(t.handles) 0 threads (-1);
   if t.nshards = 1 then begin
     let locs = max 1 locs in
     if locs > t.det_locs then begin

@@ -86,6 +86,16 @@ type t = {
   eng : plane;
   heb : plane;
   mutable sink : Spr_obs.Sink.t;
+  (* The pinned element ([nil] = none) and its labels in both planes:
+     bucket, bucket tag, item tag.  Valid until the next mutation, which
+     clears [pin]. *)
+  mutable pin : int;
+  mutable pin_ebkt : int;
+  mutable pin_ebtag : int;
+  mutable pin_etag : int;
+  mutable pin_hbkt : int;
+  mutable pin_hbtag : int;
+  mutable pin_htag : int;
 }
 
 let name = "om-fused"
@@ -130,6 +140,7 @@ let reset_plane items p =
   items.(p.base + f_bkt) <- 0
 
 let reset t =
+  t.pin <- nil;
   t.i_top <- 1;
   t.i_free <- nil;
   t.i_nfree <- 0;
@@ -149,6 +160,13 @@ let create () =
       eng = make_plane eng_base "eng" bcap;
       heb = make_plane heb_base "heb" bcap;
       sink = Spr_obs.Sink.null;
+      pin = nil;
+      pin_ebkt = nil;
+      pin_ebtag = 0;
+      pin_etag = 0;
+      pin_hbkt = nil;
+      pin_hbtag = 0;
+      pin_htag = 0;
     }
   in
   reset t;
@@ -409,6 +427,7 @@ let link_pair t p x a b =
    the hot path allocates no tuple. *)
 let insert_children_packed t x ~parallel =
   check_alive "Om_fused.insert_children" t x;
+  t.pin <- nil;
   let l = alloc_item t in
   let r = alloc_item t in
   (* English: left right after x, right after left.  Hebrew: flipped
@@ -456,10 +475,42 @@ let precedes_eng_checked ctx t x y =
   if bx < 0 || by < 0 then invalid_arg (ctx ^ ": deleted element");
   if bx = by then items.(xr + f_tag) < items.(yr + f_tag) else t.eng.b_tag.(bx) < t.eng.b_tag.(by)
 
+(* Cache [y]'s labels in both planes.  Every mutator clears the pin,
+   so the cache can never go stale; it only saves the loads. *)
+let pin t y =
+  check_alive "Om_fused.pin" t y;
+  let items = t.items in
+  let yr = y lsl stride_bits in
+  let eb = items.(yr + eng_base + f_bkt) and hb = items.(yr + heb_base + f_bkt) in
+  t.pin <- y;
+  t.pin_ebkt <- eb;
+  t.pin_ebtag <- t.eng.b_tag.(eb);
+  t.pin_etag <- items.(yr + eng_base + f_tag);
+  t.pin_hbkt <- hb;
+  t.pin_hbtag <- t.heb.b_tag.(hb);
+  t.pin_htag <- items.(yr + heb_base + f_tag)
+
+(* [sp_precedes t x (pinned element)]: only [x]'s labels are loaded,
+   under the same range and liveness checks as the unpinned query. *)
+let precedes_pinned t x =
+  if x < 0 || x >= t.i_top then invalid_arg "Om_fused.sp_precedes: deleted element";
+  let items = t.items in
+  let xr = x lsl stride_bits in
+  let bx = items.(xr + eng_base + f_bkt) in
+  if bx < 0 then invalid_arg "Om_fused.sp_precedes: deleted element";
+  (if bx = t.pin_ebkt then items.(xr + eng_base + f_tag) < t.pin_etag
+   else t.eng.b_tag.(bx) < t.pin_ebtag)
+  &&
+  let hx = items.(xr + heb_base + f_bkt) in
+  if hx = t.pin_hbkt then items.(xr + heb_base + f_tag) < t.pin_htag
+  else t.heb.b_tag.(hx) < t.pin_hbtag
+
 (* Both labels of both operands come out of two stride-8 records — one
-   fused query instead of two structure lookups. *)
+   fused query instead of two structure lookups.  An unset pin is
+   [nil], which the [y >= 0] test keeps from matching any handle. *)
 let sp_precedes t x y =
-  precedes_eng_checked "Om_fused.sp_precedes" t x y && precedes_plane t t.heb x y
+  if y >= 0 && y = t.pin then precedes_pinned t x
+  else precedes_eng_checked "Om_fused.sp_precedes" t x y && precedes_plane t t.heb x y
 
 let sp_parallel t x y =
   (* OCaml evaluates [<>]'s right operand first; the let makes the
@@ -496,6 +547,7 @@ let unlink t p e =
 let delete t e =
   check_alive "Om_fused.delete" t e;
   if e = 0 then invalid_arg "Om_fused.delete: cannot delete base";
+  t.pin <- nil;
   unlink t t.heb e;
   unlink t t.eng e;
   (* Retire the slot: mark dead in the English bucket field, chain it

@@ -69,7 +69,17 @@ val precedes_heb : t -> elt -> elt -> bool
 
 val sp_precedes : t -> elt -> elt -> bool
 (** Both orders agree: [x] precedes [y] in English {e and} Hebrew —
-    the paper's serial-before relation. *)
+    the paper's serial-before relation.  When [y] is the {!pin}ned
+    element its labels come from the pin, so only [x]'s are loaded; the
+    answer and the checks on [x] are the same either way.
+    @raise Invalid_argument on a deleted operand. *)
+
+val pin : t -> elt -> unit
+(** [pin t y] caches [y]'s labels in both orders for {!sp_precedes}
+    queries whose later operand is [y] — the running thread, in a race
+    detector.  {!reset}, {!insert_children} and {!delete} clear the
+    pin; while none is set, no handle matches it.
+    @raise Invalid_argument if [y] is deleted. *)
 
 val sp_parallel : t -> elt -> elt -> bool
 (** The orders disagree — the two nodes are logically parallel. *)

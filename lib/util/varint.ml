@@ -33,7 +33,7 @@ let put buf n =
     Buffer.add_char buf '\x01'
   end
 
-let get s pos =
+let get_loop s pos =
   let v = ref 0 and shift = ref 0 and fin = ref false in
   let len = String.length s in
   while not !fin do
@@ -48,3 +48,25 @@ let get s pos =
     if b land 0x80 = 0 then fin := true
   done;
   !v
+
+(* One- and two-byte encodings (values below 2^14: tags, most ids and
+   locations) decode inline; longer ones and truncation go through the
+   loop from the first byte, so results and [pos] are the loop's. *)
+let[@inline] get s pos =
+  let p = !pos in
+  let len = String.length s in
+  if p >= len then raise Truncated;
+  let b0 = Char.code (String.unsafe_get s p) in
+  if b0 < 0x80 then begin
+    pos := p + 1;
+    b0
+  end
+  else if p + 1 < len then begin
+    let b1 = Char.code (String.unsafe_get s (p + 1)) in
+    if b1 < 0x80 then begin
+      pos := p + 2;
+      (b0 land 0x7f) lor (b1 lsl 7)
+    end
+    else get_loop s pos
+  end
+  else get_loop s pos

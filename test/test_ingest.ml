@@ -127,26 +127,36 @@ let adversarial_matches_oracle =
 (* ------------------------------------------------------------------ *)
 (* 3. Sharded shadow memory: real worker domains, byte-identical.      *)
 
+let sharded_workloads =
+  [
+    "dcsum-buggy";
+    "mergesort-buggy";
+    "matmul-buggy";
+    "locked";
+    "locked-buggy";
+    "shared-readers";
+    "random";
+    "adversarial";
+  ]
+
 let sharded_matches_serial () =
   (* A small batch forces many mid-program flushes, so the deferred
-     drain really interleaves with decoding. *)
-  with_server ~shards:3 ~batch:64 (fun srv ->
-      List.iter
-        (fun name ->
-          let gen = Option.get (W.find_opt name) in
-          let p = gen ~size:(size_for name) ~seed:11 in
-          let got = run_one ~ctx:name srv (Codec.capture [ p ]) in
-          check_result ("sharded " ^ name) (oracle p) got)
-        [
-          "dcsum-buggy";
-          "mergesort-buggy";
-          "matmul-buggy";
-          "locked";
-          "locked-buggy";
-          "shared-readers";
-          "random";
-          "adversarial";
-        ])
+     drain really interleaves with decoding.  At batch 1 every drain
+     runs mid-thread, its one access's thread pinned in the OM; at
+     batch 3 a drain also holds accesses of earlier threads, which the
+     SPAWN and SYNC frames since have unpinned, and the PROG_END flush
+     drains what the last frames left. *)
+  List.iter
+    (fun batch ->
+      with_server ~shards:3 ~batch (fun srv ->
+          List.iter
+            (fun name ->
+              let gen = Option.get (W.find_opt name) in
+              let p = gen ~size:(size_for name) ~seed:11 in
+              let got = run_one ~ctx:name srv (Codec.capture [ p ]) in
+              check_result (Printf.sprintf "sharded batch %d %s" batch name) (oracle p) got)
+            sharded_workloads))
+    [ 64; 3; 1 ]
 
 let sharded_random_matches_serial =
   let srv = Server.create ~shards:4 ~batch:32 () in

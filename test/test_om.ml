@@ -432,21 +432,21 @@ let check_same_stats label (got : Spr_om.Om_intf.stats) (want : Spr_om.Om_intf.s
    and a wrong tag for either child of a pair shifts a later respace. *)
 type anchor_policy = Mixed | Hammer of { at_base : bool; churn : bool }
 
+let anchor_policies =
+  [
+    Mixed;
+    Hammer { at_base = true; churn = false };
+    Hammer { at_base = false; churn = false };
+    Hammer { at_base = true; churn = true };
+    Hammer { at_base = false; churn = true };
+  ]
+
 let hammer_rounds = 2_000
 
 let fused_matches_boxed_pair =
   QCheck2.Test.make ~count:60
     ~name:"om-fused: counters bit-identical to boxed English+Hebrew pair"
-    QCheck2.Gen.(
-      triple (0 -- 1_000_000) (5 -- 120)
-        (oneofl
-           [
-             Mixed;
-             Hammer { at_base = true; churn = false };
-             Hammer { at_base = false; churn = false };
-             Hammer { at_base = true; churn = true };
-             Hammer { at_base = false; churn = true };
-           ]))
+    QCheck2.Gen.(triple (0 -- 1_000_000) (5 -- 120) (oneofl anchor_policies))
     (fun (seed, rounds, policy) ->
       let module F = Spr_om.Om_fused in
       let module O = Spr_om.Om in
@@ -560,6 +560,95 @@ let fused_free_list_reuse =
       Alcotest.(check int) "free list drained" 0 (F.free_items t);
       true)
 
+(* [Om_fused.pin] caches one element's labels for [sp_precedes], and
+   every mutator clears it.  So a query whose later operand is the last
+   pinned element must agree with the two orders whatever ran since the
+   pin: pair inserts under the hammer policies (splits, respaces and top
+   relabels move the pinned element), deletes (of the pinned element
+   too, after which the query must raise) and resets (after which the
+   pinned slot is stale until a new element reuses it).  Pins are
+   sporadic, so most queries run against a pin set several mutations
+   ago. *)
+let fused_pin_matches_orders =
+  QCheck2.Test.make ~count:60 ~name:"om-fused: pinned sp_precedes = both orders agree"
+    QCheck2.Gen.(pair (0 -- 1_000_000) (oneofl anchor_policies))
+    (fun (seed, policy) ->
+      let module F = Spr_om.Om_fused in
+      let module Vec = Spr_util.Vec in
+      let rng = Rng.create seed in
+      let f = F.create () in
+      let live = Vec.create () and is_live = Hashtbl.create 64 in
+      let add e =
+        Vec.push live e;
+        Hashtbl.replace is_live e ()
+      in
+      let remove_at idx =
+        let e = Vec.get live idx in
+        F.delete f e;
+        Hashtbl.remove is_live e;
+        match Vec.pop live with
+        | Some last -> if idx < Vec.length live then Vec.set live idx last
+        | None -> assert false
+      in
+      let pick () = Vec.get live (Rng.int rng (Vec.length live)) in
+      add (F.base f);
+      let newest_left = ref (F.base f) and pinned = ref (F.base f) in
+      F.pin f !pinned;
+      let query x =
+        let y = !pinned in
+        if Hashtbl.mem is_live y then
+          Alcotest.(check bool)
+            "pinned sp_precedes = English and Hebrew"
+            (F.precedes_eng f x y && F.precedes_heb f x y)
+            (F.sp_precedes f x y)
+        else
+          Alcotest.check_raises "query against a dead pinned slot"
+            (Invalid_argument "Om_fused.sp_precedes: deleted element") (fun () ->
+              ignore (F.sp_precedes f x y))
+      in
+      let rounds = if policy = Mixed then 300 else hammer_rounds in
+      for _ = 1 to rounds do
+        let op = Rng.int rng 100 in
+        if op < 12 then begin
+          pinned := if Hashtbl.mem is_live !newest_left && Rng.bool rng then !newest_left else pick ();
+          F.pin f !pinned
+        end
+        else if op < 14 && policy = Mixed then begin
+          F.reset f;
+          Vec.clear live;
+          Hashtbl.reset is_live;
+          add (F.base f);
+          newest_left := F.base f
+        end
+        else if op < 30 && policy = Mixed && Vec.length live > 1 then
+          remove_at (1 + Rng.int rng (Vec.length live - 1))
+        else begin
+          let anchor =
+            match policy with
+            | Mixed -> pick ()
+            | Hammer { at_base = true; _ } -> F.base f
+            | Hammer { at_base = false; _ } -> !newest_left
+          in
+          let l, r = F.insert_children f anchor ~parallel:(Rng.bool rng) in
+          (match policy with
+          | Hammer { churn = true; _ } ->
+              for _ = 1 to min (2 * Rng.int rng 3) (Vec.length live - 1) do
+                remove_at (Vec.length live - 1)
+              done
+          | Mixed | Hammer _ -> ());
+          newest_left := l;
+          add l;
+          add r
+        end;
+        query (F.base f);
+        if Hashtbl.mem is_live !newest_left then query !newest_left;
+        for _ = 1 to 3 do
+          query (pick ())
+        done
+      done;
+      F.check_invariants f;
+      true)
+
 let fused_use_after_delete () =
   let module F = Spr_om.Om_fused in
   let t = F.create () in
@@ -573,18 +662,31 @@ let fused_use_after_delete () =
             ignore (q t y x)))
       [ ("sp_precedes", F.sp_precedes); ("sp_parallel", F.sp_parallel) ]
   in
+  (* [good] is live.  First with no pin set (every call follows a delete
+     or a reset, which clear it), so an unset pin must match no handle,
+     not even a negative one; then with [good] pinned, so the swapped
+     calls run the pinned path and its checks on the earlier operand. *)
+  let rejects_bad good bads =
+    List.iter (fun (what, bad) -> queries_reject what good bad) bads;
+    F.pin t good;
+    List.iter (fun (what, bad) -> queries_reject (what ^ ", live one pinned") good bad) bads
+  in
   let l, r = F.insert_children t (F.base t) ~parallel:true in
   F.delete t r;
-  queries_reject "a deleted handle" l r;
-  queries_reject "a negative handle" l (-1);
-  queries_reject "a very negative handle" l min_int;
+  rejects_bad l
+    [ ("a deleted handle", r); ("a negative handle", -1); ("a very negative handle", min_int) ];
+  List.iter
+    (fun (what, bad) ->
+      Alcotest.check_raises ("pin rejects " ^ what)
+        (Invalid_argument "Om_fused.pin: deleted element") (fun () -> F.pin t bad))
+    [ ("a deleted handle", r); ("a negative handle", -1); ("a handle past the slots", 1_000) ];
   Alcotest.check_raises "base cannot be deleted"
     (Invalid_argument "Om_fused.delete: cannot delete base") (fun () -> F.delete t (F.base t));
   (* reset rewinds to the one-element state and invalidates old handles *)
   F.reset t;
   Alcotest.(check int) "reset leaves only the base" 1 (F.size t);
   Alcotest.(check bool) "stale handle is past the slots in use" true (l >= F.item_slots t);
-  queries_reject "a stale handle after reset" (F.base t) l;
+  rejects_bad (F.base t) [ ("a stale handle after reset", l) ];
   Alcotest.check_raises "stale handle rejected after reset"
     (Invalid_argument "Om_fused.delete: deleted element") (fun () -> F.delete t l)
 
@@ -783,6 +885,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest fused_matches_boxed_pair;
           QCheck_alcotest.to_alcotest fused_free_list_reuse;
+          QCheck_alcotest.to_alcotest fused_pin_matches_orders;
           Alcotest.test_case "use after delete / reset hygiene" `Quick fused_use_after_delete;
         ] );
       ( "fork-path",

@@ -244,27 +244,53 @@ let stats_fits () =
 (* ------------------------------------------------------------------ *)
 (* Varint                                                              *)
 
-let varint_roundtrip_one n =
-  let buf = Buffer.create 10 in
-  Varint.put buf n;
-  let s = Buffer.contents buf in
-  let pos = ref 0 in
-  let got = Varint.get s pos in
-  if got <> n then Alcotest.failf "varint roundtrip: put %d, got %d" n got;
-  Alcotest.(check int) "consumed whole encoding" (String.length s) !pos
-
+(* Exact lengths at each encoding-length boundary and at the extremes
+   (negative ints are the full 64-bit two's-complement pattern: ten
+   bytes, sign group last), and [Truncated] on every proper prefix —
+   among them a two-byte encoding cut after its first byte, where the
+   inline two-byte path must defer to the loop.  Each case is decoded
+   at offset 0 and after a one-byte lead-in, with a trailing byte that
+   must not be consumed. *)
 let varint_boundaries () =
-  List.iter varint_roundtrip_one
-    [ 0; 1; 127; 128; 16383; 16384; -1; -128; max_int; min_int; (1 lsl 62) - 1; -(1 lsl 62) ];
-  (* Negative ints are the full 64-bit two's-complement pattern: ten
-     bytes, sign group last. *)
-  let buf = Buffer.create 10 in
-  Varint.put buf (-1);
-  Alcotest.(check int) "-1 is ten bytes" 10 (String.length (Buffer.contents buf));
-  Alcotest.check_raises "empty input is truncated" Varint.Truncated (fun () ->
-      ignore (Varint.get "" (ref 0)));
-  Alcotest.check_raises "dangling continuation bit is truncated" Varint.Truncated (fun () ->
-      ignore (Varint.get "\x80" (ref 0)))
+  List.iter
+    (fun (n, bytes) ->
+      let buf = Buffer.create 10 in
+      Varint.put buf n;
+      let enc = Buffer.contents buf in
+      Alcotest.(check int) (Printf.sprintf "%d: encoded length" n) bytes (String.length enc);
+      List.iter
+        (fun lead ->
+          let s = lead ^ enc ^ "\x05" in
+          let pos = ref (String.length lead) in
+          Alcotest.(check int) (Printf.sprintf "%d: decoded" n) n (Varint.get s pos);
+          Alcotest.(check int)
+            (Printf.sprintf "%d: pos advance" n)
+            (String.length lead + bytes) !pos;
+          for cut = 0 to bytes - 1 do
+            let s = lead ^ String.sub enc 0 cut in
+            let pos = ref (String.length lead) in
+            Alcotest.check_raises
+              (Printf.sprintf "%d cut to %d byte(s): truncated" n cut)
+              Varint.Truncated
+              (fun () -> ignore (Varint.get s pos));
+            Alcotest.(check int)
+              (Printf.sprintf "%d cut to %d byte(s): pos at end" n cut)
+              (String.length s) !pos
+          done)
+        [ ""; "\x7f" ])
+    [
+      (0, 1);
+      (1, 1);
+      (127, 1);
+      (128, 2);
+      (16383, 2);
+      (16384, 3);
+      (1 lsl 21, 4);
+      (max_int, 9);
+      (-1, 10);
+      (-128, 10);
+      (min_int, 10);
+    ]
 
 let varint_model =
   QCheck2.Test.make ~count:500 ~name:"Varint roundtrips every int"
