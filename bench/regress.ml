@@ -28,11 +28,11 @@
 
      regress --alloc-gate --e2e [--plant] [--iters N]
        The end-to-end variant: a full sp-order-fused race-detection
-       run per iteration — arena parse-tree rebuild, fused
-       English/Hebrew fork/join walk, every shadow access and SP
-       query (Spr_race.Drivers.Fused) — over a deterministic
-       race-free fork-join program, pinned at zero minor words in
-       steady state.
+       run per iteration — the direct fork/join walk of the program
+       splicing children into the fused English/Hebrew orders, every
+       shadow access and SP query (Spr_race.Drivers.Fused) — over a
+       deterministic race-free fork-join program, pinned at zero minor
+       words in steady state.
 
      regress --alloc-gate --ingest [--plant] [--iters N]
        The ingestion-service variant: one full Spr_ingest.Server.drive
@@ -246,10 +246,10 @@ let e2e_program ~depth =
   Fj.Builder.finish b main
 
 (* One iteration = one complete detection pass, rewound in place:
-   arena tree rebuild + fused English/Hebrew fork/join walk + every
-   access and SP query.  Steady state must stay at zero minor words
-   with the boxed option/record traffic gone from tree, OM pair and
-   shadow cells alike. *)
+   the direct program walk into the fused English/Hebrew orders +
+   every access and SP query.  Steady state must stay at zero minor
+   words with the boxed option/record traffic gone from walk, OM pair
+   and shadow cells alike. *)
 let alloc_gate_e2e ~plant ~iters () =
   let program = e2e_program ~depth:7 in
   let pipeline = Spr_race.Drivers.Fused.create program in
@@ -259,7 +259,7 @@ let alloc_gate_e2e ~plant ~iters () =
       if plant then ignore (Sys.opaque_identity (ref i))
     done
   in
-  (* Reach steady state (arena/elt-map/stack high-water marks) before
+  (* Reach steady state (fused-OM high-water marks) before
      measuring. *)
   runs 3;
   let first = Spr_race.Drivers.Fused.result pipeline in

@@ -11,10 +11,12 @@
 
     Besides the standard {!Spr_core.Sp_maintainer.S} surface, this
     module exposes a raw-node-id API ([enter] / [precedes_id] /
-    [parallel_id]) and O(1) [reset], which is what the end-to-end
-    zero-allocation race-detection pipeline drives: no
-    {!Spr_sptree.Sp_tree.node} records, no event constructors, no
-    queries through option boxes. *)
+    [parallel_id]) and O(1) [reset] for walks that number the nodes
+    they create — the streaming ingestion [Server] and the benchmark's
+    traced replay: no {!Spr_sptree.Sp_tree.node} records, no event
+    constructors, no queries through option boxes.  The serial
+    [Drivers.Fused] pipeline needs no ids and drives
+    {!Spr_om.Om_fused} directly. *)
 
 include Sp_maintainer.S
 

@@ -91,87 +91,78 @@ let detect_serial_releasing pt =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The fully packed pipeline: arena parse tree + fused English/Hebrew
-   SP-order + packed shadow cells, all pre-sized at [create] and rewound
-   in place by [run].  A steady-state [run] — rebuild the tree, replay
-   the fork/join walk, issue every access and SP query — performs zero
-   minor-heap allocation on a race-free program (recording a race
-   pushes a report record); [regress --alloc-gate --e2e] pins this. *)
+(* The fully packed pipeline: fused English/Hebrew SP-order + packed
+   shadow cells, rewound in place by [run].  An Enter needs only the
+   parent's element (Figure 5, lines 4-7), so the walk splices
+   children straight from the program's recursion and never builds
+   the parse tree.  A steady-state [run] allocates nothing on a
+   race-free program (recording a race pushes a report record);
+   [regress --alloc-gate --e2e] pins this. *)
 module Fused = struct
+  module Om = Spr_om.Om_fused
+
   type t = {
     program : Fj_program.t;
-    threads : Fj_program.thread array;
-    pa : Prog_arena.t;
-    sp : Spr_core.Sp_order_fused.t;
+    om : Om.t;
+    handles : Om.elt array;  (* tid -> the thread's fused element *)
     det : Detector.t;
-    (* Persistent walk stack (node ids); Sp_arena.iter allocates its
-       own scratch, which would show up in the gate. *)
-    mutable stack : int array;
   }
 
   let create program =
-    let pa = Prog_arena.of_program program in
-    let sp = Spr_core.Sp_order_fused.create_raw () in
-    Spr_core.Sp_order_fused.reset sp ~nodes:(Prog_arena.node_slots pa)
-      ~root:(Prog_arena.root pa);
-    let precedes ~executed ~current =
-      Spr_core.Sp_order_fused.precedes_id sp
-        (Prog_arena.leaf_of_thread pa executed)
-        (Prog_arena.leaf_of_thread pa current)
-    in
+    let om = Om.create () in
+    let handles = Array.make (Fj_program.thread_count program) (-1) in
+    let precedes ~executed ~current = Om.sp_precedes om handles.(executed) handles.(current) in
     let det = Detector.create ~locs:(Detector.max_loc program + 1) ~precedes () in
-    {
-      program;
-      threads = Fj_program.threads program;
-      pa;
-      sp;
-      det;
-      stack = Array.make 64 0;
-    }
+    { program; om; handles; det }
 
-  let run t =
-    Prog_arena.build t.pa t.program;
-    Spr_core.Sp_order_fused.reset t.sp ~nodes:(Prog_arena.node_slots t.pa)
-      ~root:(Prog_arena.root t.pa);
-    Detector.reset t.det;
-    let arena = Prog_arena.arena t.pa in
-    let sp_top = ref 0 in
-    (if Array.length t.stack = 0 then t.stack <- Array.make 64 0);
-    t.stack.(0) <- Prog_arena.root t.pa;
-    incr sp_top;
-    while !sp_top > 0 do
-      decr sp_top;
-      let n = t.stack.(!sp_top) in
-      if Spr_sptree.Sp_arena.is_leaf arena n then begin
-        let tid = Prog_arena.thread_of_leaf t.pa n in
-        if tid >= 0 then begin
-          (* Inline thread run: Detector.run_thread's sink/metrics
-             bookkeeping is dead weight here. *)
-          let u = t.threads.(tid) in
-          let accs = u.Fj_program.accesses in
-          for i = 0 to Array.length accs - 1 do
-            Detector.access t.det ~current:tid accs.(i)
-          done
-        end
-      end
-      else begin
-        let left = Spr_sptree.Sp_arena.left_of arena n in
-        let right = Spr_sptree.Sp_arena.right_of arena n in
-        Spr_core.Sp_order_fused.enter t.sp ~parent:n ~left ~right
-          ~parallel:(Spr_sptree.Sp_arena.kind_of arena n = Spr_sptree.Sp_arena.Parallel);
-        (if !sp_top + 2 > Array.length t.stack then begin
-           let b = Array.make (2 * Array.length t.stack) 0 in
-           Array.blit t.stack 0 b 0 !sp_top;
-           t.stack <- b
-         end);
-        (* left walked first: push right below it. *)
-        t.stack.(!sp_top) <- right;
-        t.stack.(!sp_top + 1) <- left;
-        sp_top := !sp_top + 2
-      end
+  (* One thread at its leaf element: pin it as the later operand of
+     every query its accesses make (Detector.run_thread's sink/metrics
+     bookkeeping is dead weight here). *)
+  let thread t e (u : Fj_program.thread) =
+    t.handles.(u.tid) <- e;
+    Om.pin t.om e;
+    let accs = u.accesses in
+    for i = 0 to Array.length accs - 1 do
+      Detector.access t.det ~current:u.tid accs.(i)
     done
 
+  (* Top-level recursion with explicit arguments — nested closures
+     would allocate on every run.  [e] is the element of the subtree's
+     root; each Enter is the canonical shape's: S(block, rest) for a
+     block that is not the last, S(thread, rest) for a [Run] that is
+     not the last item, P(child, rest) for a [Spawn]. *)
+  let rec proc t e (p : Fj_program.proc) = blocks t e p.blocks 0
+
+  and blocks t e bs bi =
+    if bi = Array.length bs - 1 then items t e bs.(bi) 0
+    else begin
+      let lr = Om.insert_children_packed t.om e ~parallel:false in
+      items t (Om.packed_left lr) bs.(bi) 0;
+      blocks t (Om.packed_right lr) bs (bi + 1)
+    end
+
+  and items t e blk i =
+    (* Past the end only after a trailing [Spawn]: a synthetic leaf. *)
+    if i < Array.length blk then
+      match blk.(i) with
+      | Fj_program.Run u when i = Array.length blk - 1 -> thread t e u
+      | Fj_program.Run u ->
+          let lr = Om.insert_children_packed t.om e ~parallel:false in
+          thread t (Om.packed_left lr) u;
+          items t (Om.packed_right lr) blk (i + 1)
+      | Fj_program.Spawn f ->
+          let lr = Om.insert_children_packed t.om e ~parallel:true in
+          proc t (Om.packed_left lr) f;
+          items t (Om.packed_right lr) blk (i + 1)
+
+  let run t =
+    Om.reset t.om;
+    Detector.reset t.det;
+    proc t (Om.base t.om) (Fj_program.main t.program)
+
   let detector t = t.det
+
+  let om t = t.om
 
   let result t =
     {

@@ -38,27 +38,34 @@ val detect_serial_releasing : Spr_prog.Prog_tree.t -> releasing_result
     live frontier, not the whole execution history.  Race reports are
     identical to the non-releasing run. *)
 
-(** The fully packed serial pipeline: arena parse tree
-    ({!Spr_prog.Prog_arena}) + fused English/Hebrew SP-order
-    ({!Spr_core.Sp_order_fused}) + packed shadow cells, created once
-    and rewound in place per run.  A steady-state {!Fused.run} —
-    rebuild tree, replay the fork/join walk, issue every access and SP
-    query — allocates zero minor words on a race-free program
-    (recording a race allocates its report); [regress --alloc-gate
-    --e2e] pins this, and the test suite pins answer equality with
-    {!detect_serial}. *)
+(** The fully packed serial pipeline: fused English/Hebrew SP-order
+    ({!Spr_om.Om_fused}) + packed shadow cells, created once and
+    rewound in place per run.  {!Fused.run} walks the program's own
+    recursion and splices each node's children after its parent's
+    element in the canonical {!Spr_prog.Prog_tree} shape, so its OM
+    work is that of SP-order on the canonical parse tree, and no tree
+    is built.  Each thread's element is pinned while its accesses run.
+    A steady-state {!Fused.run} — replay the fork/join walk, issue
+    every access and SP query — allocates zero minor words on a
+    race-free program (recording a race allocates its report);
+    [regress --alloc-gate --e2e] pins this, and the test suite pins
+    answer equality with {!detect_serial}. *)
 module Fused : sig
   type t
 
   val create : Spr_prog.Fj_program.t -> t
-  (** Size every internal structure for the program and run the
-      pipeline's constructor-time allocations. *)
+  (** Allocate the pipeline for the program; the fused structure
+      grows to the program's size on the first {!run}. *)
 
   val run : t -> unit
   (** One full detection pass, in place.  Idempotent across calls —
       each run rewinds and replays. *)
 
   val detector : t -> Detector.t
+
+  val om : t -> Spr_om.Om_fused.t
+  (** The fused structure the last run built (size, relabel
+      counters, invariants). *)
 
   val result : t -> serial_result
   (** Snapshot of the last run (allocates; call outside any probed

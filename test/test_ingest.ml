@@ -193,6 +193,38 @@ let resident_reuse () =
         st.Server.accesses)
 
 (* ------------------------------------------------------------------ *)
+(* 4b. Deep nesting: the fused driver's walk recurses once per nested
+   spawn, the server's frame engine keeps its own stack; both must
+   finish 10^5 levels deep and agree.                                  *)
+
+(* A 10^5-deep spawn chain in which every thread reads and writes
+   location 0: each level is [[Run; Spawn child; Run]; [Run]], so the
+   walk crosses S-splits at every level and races at every level. *)
+let deep_chain ~depth =
+  let b = Fj.Builder.create () in
+  let rw () =
+    Fj.Builder.thread b
+      ~accesses:
+        [ { Fj.loc = 0; write = false; locks = [] }; { Fj.loc = 0; write = true; locks = [] } ]
+      ~cost:1 ()
+  in
+  let p = ref (Fj.Builder.proc b [ [ Fj.Run (rw ()) ] ]) in
+  for _ = 2 to depth do
+    p := Fj.Builder.proc b [ [ Fj.Run (rw ()); Fj.Spawn !p; Fj.Run (rw ()) ]; [ Fj.Run (rw ()) ] ]
+  done;
+  Fj.Builder.finish b !p
+
+let deep_nesting () =
+  with_server (fun srv ->
+      List.iter
+        (fun (ctx, p) ->
+          check_result ctx (Drivers.detect_serial_fused p) (run_one ~ctx srv (Codec.capture [ p ])))
+        [
+          ("deep_spawn 10^5", W.deep_spawn ~depth:100_000 ());
+          ("rw chain 10^5", deep_chain ~depth:100_000);
+        ])
+
+(* ------------------------------------------------------------------ *)
 (* 5. Multi-program traces: one stream, per-program results.           *)
 
 let multi_program_trace () =
@@ -339,6 +371,7 @@ let () =
         ] );
       ( "resident",
         [ Alcotest.test_case "in-place reuse" `Quick resident_reuse ] );
+      ("deep", [ Alcotest.test_case "fused walk = server at 10^5 levels" `Quick deep_nesting ]);
       ( "decoder",
         [
           Alcotest.test_case "diagnostics locate the frame" `Quick diagnostics_locate_the_frame;

@@ -227,113 +227,6 @@ let paper_example_dag () =
   Alcotest.(check bool) "source first" true (List.hd topo = Sp_dag.source d)
 
 (* ------------------------------------------------------------------ *)
-(* Sp_arena: the int-array parse tree behind the fused pipeline.       *)
-
-(* Rebuild a boxed tree's shape inside an arena, returning the arena
-   root.  Bottom-up, so child ids exist before the internal node. *)
-let arena_of_tree a t =
-  let rec build (n : Sp_tree.node) =
-    match n.shape with
-    | Sp_tree.Leaf -> Sp_arena.leaf a
-    | Sp_tree.Internal { kind; left; right } -> (
-        let l = build left in
-        let r = build right in
-        match kind with
-        | Sp_tree.Series -> Sp_arena.series a l r
-        | Sp_tree.Parallel -> Sp_arena.parallel a l r)
-  in
-  build (Sp_tree.root t)
-
-let arena_walk_matches_tree =
-  QCheck2.Test.make ~count:80 ~name:"sp-arena: walk order matches Sp_tree events"
-    QCheck2.Gen.(pair (0 -- 1_000_000) (2 -- 60))
-    (fun (seed, leaves) ->
-      let t = random_tree seed leaves in
-      let a = Sp_arena.create () in
-      (* Build while recording boxed-node-id -> arena-id, then compare
-         the Enter/Thread projections of the two walks. *)
-      let map = Array.make (Sp_tree.node_count t) (-1) in
-      let rec build (n : Sp_tree.node) =
-        let id =
-          match n.shape with
-          | Sp_tree.Leaf -> Sp_arena.leaf a
-          | Sp_tree.Internal { kind; left; right } -> (
-              let l = build left in
-              let r = build right in
-              match kind with
-              | Sp_tree.Series -> Sp_arena.series a l r
-              | Sp_tree.Parallel -> Sp_arena.parallel a l r)
-        in
-        map.(n.id) <- id;
-        id
-      in
-      let root = build (Sp_tree.root t) in
-      Alcotest.(check int) "slots = node count" (Sp_tree.node_count t) (Sp_arena.slots a);
-      let expect = ref [] in
-      Sp_tree.iter_events t (fun ev ->
-          match ev with
-          | Sp_tree.Enter n -> expect := (`E, map.(n.id)) :: !expect
-          | Sp_tree.Thread n -> expect := (`T, map.(n.id)) :: !expect
-          | Sp_tree.Mid _ | Sp_tree.Exit _ -> ());
-      let got = ref [] in
-      Sp_arena.iter a root
-        ~enter:(fun id -> got := (`E, id) :: !got)
-        ~thread:(fun id -> got := (`T, id) :: !got);
-      !expect = !got)
-
-let arena_recycling =
-  QCheck2.Test.make ~count:80 ~name:"sp-arena: release/rebuild reuses slots"
-    QCheck2.Gen.(pair (0 -- 1_000_000) (2 -- 60))
-    (fun (seed, leaves) ->
-      let t = random_tree seed leaves in
-      let a = Sp_arena.create () in
-      let root = arena_of_tree a t in
-      let slots = Sp_arena.slots a in
-      Alcotest.(check int) "all slots live" slots (Sp_arena.live a);
-      (* Exit-style churn: release the whole tree, rebuild the same
-         shape — the free list must absorb every node, keeping the
-         high-water mark flat across rounds. *)
-      for _ = 1 to 3 do
-        let freed = ref 0 in
-        let stack = ref [ root ] in
-        while !stack <> [] do
-          match !stack with
-          | [] -> ()
-          | n :: rest ->
-              stack := rest;
-              if not (Sp_arena.is_leaf a n) then
-                stack := Sp_arena.left_of a n :: Sp_arena.right_of a n :: !stack;
-              Sp_arena.release a n;
-              incr freed
-        done;
-        Alcotest.(check int) "every node freed" slots !freed;
-        Alcotest.(check int) "free list holds them" slots (Sp_arena.free_count a);
-        let root' = arena_of_tree a t in
-        ignore root';
-        Alcotest.(check int) "arena did not grow" slots (Sp_arena.slots a);
-        Alcotest.(check int) "free list drained" 0 (Sp_arena.free_count a)
-      done;
-      (* reset is the O(1) bulk form of the same thing. *)
-      Sp_arena.reset a;
-      Alcotest.(check int) "reset empties" 0 (Sp_arena.live a);
-      ignore (arena_of_tree a t);
-      Alcotest.(check int) "rebuild after reset stays flat" slots (Sp_arena.slots a);
-      true)
-
-let arena_use_after_release () =
-  let a = Sp_arena.create () in
-  let l = Sp_arena.leaf a in
-  let r = Sp_arena.leaf a in
-  let s = Sp_arena.series a l r in
-  Sp_arena.release a s;
-  Alcotest.check_raises "released node rejected"
-    (Invalid_argument "Sp_arena.kind_of: released node") (fun () ->
-      ignore (Sp_arena.kind_of a s));
-  Alcotest.check_raises "released node rejected as operand"
-    (Invalid_argument "Sp_arena.parallel: released node") (fun () ->
-      ignore (Sp_arena.parallel a s l))
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "spr_sptree"
@@ -360,10 +253,4 @@ let () =
           Alcotest.test_case "figure 1 dag" `Quick paper_example_dag;
         ] );
       ("dag", [ QCheck_alcotest.to_alcotest dag_structure ]);
-      ( "arena",
-        [
-          QCheck_alcotest.to_alcotest arena_walk_matches_tree;
-          QCheck_alcotest.to_alcotest arena_recycling;
-          Alcotest.test_case "use after release rejected" `Quick arena_use_after_release;
-        ] );
     ]
