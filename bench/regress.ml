@@ -37,9 +37,9 @@
      regress --alloc-gate --ingest [--plant] [--iters N]
        The ingestion-service variant: one full Spr_ingest.Server.drive
        per iteration — trace header check, every frame decoded,
-       streaming SP construction and every shadow access — over the
-       captured trace of the same race-free program, pinned at zero
-       minor words in steady state.
+       streaming SP construction and every shadow access — over a
+       captured race-free trace that takes every branch of the
+       construction, pinned at zero minor words in steady state.
 
      regress --probe-gate [--max-ns F]
        Bechamel-measure an uninstalled Spr_obs.Probe.span and fail if
@@ -288,13 +288,19 @@ let alloc_gate_e2e ~plant ~iters () =
 
 module Server = Spr_ingest.Server
 
-(* One iteration = one resident-server pass over the captured trace of
-   the same race-free program the e2e gate replays: header check,
-   every frame decoded, the streaming SP walk, every shadow access and
-   SP query.  The decode loop keeps all its state in the server
-   record, so steady state must stay at zero minor words. *)
+(* One iteration = one resident-server pass over a captured trace of
+   three race-free programs: header checks, every frame decoded, the
+   streaming SP walk, every shadow access and SP query.  The e2e gate's
+   program spawns and runs a thread after each RETURN; fib adds blocks
+   whose SYNC ends a spawning block; serial's spawn-free blocks put
+   threads after threads, so a THREAD frame inserts an element.  The
+   decode loop keeps all its state in the server record, so steady
+   state must stay at zero minor words. *)
 let alloc_gate_ingest ~plant ~iters () =
-  let trace = Spr_ingest.Codec.capture [ e2e_program ~depth:7 ] in
+  let programs =
+    [ e2e_program ~depth:7; Spr_workloads.Progs.fib ~n:10 (); Spr_workloads.Progs.serial ~n:64 () ]
+  in
+  let trace = Spr_ingest.Codec.capture programs in
   let srv = Server.create () in
   let runs k =
     for i = 0 to k - 1 do
@@ -313,11 +319,12 @@ let alloc_gate_ingest ~plant ~iters () =
   Probe.span region (fun () -> runs iters);
   Probe.uninstall ();
   let st = Server.stats srv in
+  let drives = st.Server.programs / List.length programs in
   Printf.printf
-    "alloc-gate: %d resident-server drives (%d-byte trace, %d events, %d SP queries/run)\n"
-    iters (String.length trace)
-    (st.Server.events / st.Server.programs)
-    (st.Server.sp_queries / st.Server.programs);
+    "alloc-gate: %d resident-server drives (%d-byte trace, %d programs, %d events, %d SP \
+     queries/drive)\n"
+    iters (String.length trace) (List.length programs) (st.Server.events / drives)
+    (st.Server.sp_queries / drives);
   Printf.printf "alloc-gate: minor-heap words in steady state: %d%s\n" words
     (if plant then " (with planted allocation)" else "");
   Format.printf "%a" Probe.pp_snapshot

@@ -5,10 +5,10 @@
    handle, so Enter is one fused child-pair insertion (no option boxes,
    no tuples) and a query reads both labels of both operands from two
    interleaved records.  The raw-id API ([enter]/[precedes_id]/
-   [parallel_id]) plus [reset] is what the streaming [Server] and the
-   benchmark's traced replay drive, numbering the nodes they create;
-   the serial [Drivers.Fused] pipeline needs no node ids and drives
-   {!Spr_om.Om_fused} directly.  The {!Spr_core.Sp_maintainer.S}
+   [parallel_id]) plus [reset] is what the benchmark's traced replay
+   drives, numbering the nodes it creates; the detectors need no node
+   ids — the serial [Drivers.Fused] pipeline and the streaming [Server]
+   drive {!Spr_om.Om_fused} directly by element.  The {!Spr_core.Sp_maintainer.S}
    surface on top is for the registry, Figure-3 tables and
    cross-validation. *)
 

@@ -11,12 +11,12 @@
 
     Besides the standard {!Spr_core.Sp_maintainer.S} surface, this
     module exposes a raw-node-id API ([enter] / [precedes_id] /
-    [parallel_id]) and O(1) [reset] for walks that number the nodes
-    they create — the streaming ingestion [Server] and the benchmark's
-    traced replay: no {!Spr_sptree.Sp_tree.node} records, no event
-    constructors, no queries through option boxes.  The serial
-    [Drivers.Fused] pipeline needs no ids and drives
-    {!Spr_om.Om_fused} directly. *)
+    [parallel_id]) and O(1) [reset] for a walk that numbers the nodes
+    it creates: no {!Spr_sptree.Sp_tree.node} records, no event
+    constructors, no queries through option boxes.  Its one user is the
+    benchmark's traced replay.  The detectors need no ids: the serial
+    [Drivers.Fused] pipeline and the streaming ingestion [Server] both
+    drive {!Spr_om.Om_fused} directly by element. *)
 
 include Sp_maintainer.S
 
@@ -34,12 +34,6 @@ val enter : t -> parent:int -> left:int -> right:int -> parallel:bool -> unit
     [parent] in both orders, Hebrew-flipped when [parallel].
     Allocation-free.
     @raise Invalid_argument if [parent] is undiscovered. *)
-
-val handle : t -> int -> Spr_om.Om_fused.elt
-(** The fused element of a node id, for callers that resolve a node
-    once and then query {!om} directly.  Valid until the next {!reset}
-    or until the node is released.
-    @raise Invalid_argument if the id is undiscovered. *)
 
 val precedes_id : t -> int -> int -> bool
 (** [precedes]/[parallel] on raw node ids (allocation-free). *)

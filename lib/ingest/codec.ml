@@ -71,10 +71,10 @@ let write_header buf =
 (* --- Encoding ----------------------------------------------------- *)
 
 (* The body is serialized first (into [body]) so the PROG header can
-   carry exact sizing hints: the decoder pre-sizes its node-id space to
-   [nodes] and treats any drift as corruption.  The node budget mirrors
-   the streaming construction (see server.ml): the root, plus two fresh
-   ids per sync block, per thread and per spawn. *)
+   carry exact hints.  The node budget is the root plus two ids per
+   sync block, per thread and per spawn.  Version 1 of the format fixed
+   it so; the decoder sizes nothing by it, but checks it exactly and
+   treats any drift as corruption. *)
 let encode_program buf (program : Fj.t) =
   let body = Buffer.create 4096 in
   let events = ref 0 in

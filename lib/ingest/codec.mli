@@ -5,8 +5,9 @@
 
     {v magic "SPRTRACE1\n" · version · program · program · ... v}
 
-    and each program is one [PROG] header frame (thread count, location
-    count, parse-tree node budget — the decoder's sizing hints), a body
+    and each program is one [PROG] header frame (thread count and
+    location count — the decoder's sizing hints — and a parse-tree node
+    budget, which the decoder checks exactly), a body
     of structural and access frames emitted in serial (left-to-right)
     execution order, and a [PROG_END] trailer carrying the body's frame
     count as a corruption tripwire:
@@ -24,8 +25,8 @@
     The body is exactly a pre-order serialization of the program's
     canonical parse-tree walk, which is why the streaming server can
     rebuild SP relationships on the fly with no lookahead: every frame
-    advances the English/Hebrew orders the same way the in-process
-    serial driver does.
+    advances the English/Hebrew orders at once, and they answer every
+    query as the in-process serial driver's do.
 
     Encoding and decoding are allocation-free per frame ([put]/[get]
     are pure-int; capture appends to one scratch [Buffer]).  All

@@ -1,6 +1,5 @@
 module V = Spr_util.Varint
 module D = Spr_race.Detector
-module Sp = Spr_core.Sp_order_fused
 module Om_fused = Spr_om.Om_fused
 module Hook = Spr_schedhook.Hook
 module Sharded = Spr_obs.Sharded
@@ -45,20 +44,21 @@ type t = {
   pool : Shard.Pool.pool option;
   shard_arr : Shard.t array;  (* empty when nshards = 1 *)
   tasks : (unit -> unit) array;  (* drain thunks, built once *)
-  sp : Sp.t;
+  om : Om_fused.t;
   clock : Spr_hb.Stream_clock.t option;  (* Some iff a clock oracle *)
   handles : int array ref;  (* tid -> the thread's fused element, -1 = not yet run *)
   precedes : executed:int -> current:int -> bool;
   mutable det : D.t;  (* the single-shard detector *)
   mutable det_locs : int;
-  mutable pctx : int array;  (* per call frame: current procedure context *)
   mutable resume : int array;  (* per call frame: continuation after RETURN *)
+  mutable brest : int array;  (* per call frame: block continuation, -1 before its first SPAWN *)
   pos : int ref;
   (* Per-program decode state. *)
   mutable depth : int;
-  mutable ictx : int;  (* context the next item splices under *)
+  mutable ictx : Om_fused.elt;  (* the rest of the current block goes right after it *)
+  mutable occupied : bool;  (* [ictx] is the last thread's own element *)
   mutable cur_tid : int;  (* -1 between THREAD frames *)
-  mutable next : int;  (* next free node id *)
+  mutable next : int;  (* node budget used so far *)
   mutable nodes_bound : int;
   mutable p_threads : int;
   mutable p_locs : int;
@@ -89,6 +89,8 @@ type t = {
 
 let shards t = t.nshards
 
+let om t = t.om
+
 let create ?(shards = 1) ?(batch = 8192) ?(oracle = Sp_fused) ?runner () =
   if shards < 1 || shards > 64 then
     invalid_arg "Server.create: shards must be in [1, 64]";
@@ -99,9 +101,7 @@ let create ?(shards = 1) ?(batch = 8192) ?(oracle = Sp_fused) ?runner () =
      node's label live, so only it supports deferred queries. *)
   if oracle <> Sp_fused && shards > 1 then
     invalid_arg "Server.create: clock oracles (hb-vector, hb-tree) require shards = 1";
-  let sp = Sp.create_raw () in
-  Sp.reset sp ~nodes:1 ~root:0;
-  let om = Sp.om sp in
+  let om = Om_fused.create () in
   let handles = ref (Array.make 64 (-1)) in
   let clock =
     match oracle with
@@ -140,17 +140,18 @@ let create ?(shards = 1) ?(batch = 8192) ?(oracle = Sp_fused) ?runner () =
     pool;
     shard_arr;
     tasks = Array.map (fun sh () -> Shard.drain sh) shard_arr;
-    sp;
+    om;
     clock;
     handles;
     precedes;
     det = D.create ~locs:1 ~precedes ();
     det_locs = 1;
-    pctx = Array.make 64 0;
     resume = Array.make 64 0;
+    brest = Array.make 64 (-1);
     pos = ref 0;
     depth = 0;
     ictx = 0;
+    occupied = false;
     cur_tid = -1;
     next = 0;
     nodes_bound = 0;
@@ -185,36 +186,43 @@ let close t = match t.pool with None -> () | Some p -> Shard.Pool.shutdown p
 
 (* --- Streaming SP construction ------------------------------------ *)
 
+(* SP queries compare threads only (Corollary 2), so the walk gives
+   each thread one element and internal parse-tree nodes only the
+   elements a later splice needs.  The rest of the current block goes
+   right after [ictx], whose region (it and everything placed after it
+   since) holds everything earlier in the block.
+   - THREAD: takes [ictx] if it is fresh (nothing has run at it),
+     else a new element right after it.
+   - SPAWN: the block's first one puts the continuation [brest] right
+     after [ictx]; then [ictx] gets P-children, the callee running at
+     the left one and the caller resuming at the right one.  Both land
+     between [ictx] and [brest] in both orders.
+   - RETURN: the caller resumes at its fresh right child.
+   - SYNC: the block continues at [brest], after everything it spawned.
+   Every insert lands right after an element whose region holds
+   everything earlier in its block, so the two orders are those of a
+   re-association of the canonical parse tree's S-compositions, with
+   each thread on its parent's element, and Lemma 1 answers every query
+   as it does on the canonical tree. *)
+
 let corrupt_here t fmt = Codec.corrupt ~offset:!(t.pos) ~frame:(t.frame - 1) fmt
 
-let alloc2 t =
-  if t.next + 2 > t.nodes_bound then
+(* The header's node budget counts two parse-tree ids per thread, spawn
+   and sync block.  The walk numbers no nodes; it charges the budget at
+   those frames only so the header is checked exactly. *)
+let charge t k =
+  if t.next + k > t.nodes_bound then
     corrupt_here t "node budget exhausted (header declared %d nodes)" t.nodes_bound;
-  let n = t.next in
-  t.next <- n + 2;
-  n
-
-(* Start a new sync block of the procedure on top of the call stack:
-   S(block, rest) under the procedure context, then descend into
-   [block].  The extra S-nodes this introduces relative to the
-   canonical parse tree are precedence-transparent — an S-composition
-   with an empty continuation relates its left subtree to the rest of
-   the walk exactly as the canonical shape does. *)
-let block_split t =
-  let b = alloc2 t in
-  Sp.enter t.sp ~parent:t.pctx.(t.depth - 1) ~left:b ~right:(b + 1) ~parallel:false;
-  t.pctx.(t.depth - 1) <- b + 1;
-  t.ictx <- b;
-  t.cur_tid <- -1
+  t.next <- t.next + k
 
 let ensure_frames t depth =
-  if depth >= Array.length t.pctx then begin
+  if depth >= Array.length t.resume then begin
     let cap = max 64 (2 * (depth + 1)) in
-    let np = Array.make cap 0 and nr = Array.make cap 0 in
-    Array.blit t.pctx 0 np 0 (Array.length t.pctx);
+    let nr = Array.make cap 0 and nb = Array.make cap (-1) in
     Array.blit t.resume 0 nr 0 (Array.length t.resume);
-    t.pctx <- np;
-    t.resume <- nr
+    Array.blit t.brest 0 nb 0 (Array.length t.brest);
+    t.resume <- nr;
+    t.brest <- nb
   end
 
 (* --- The frame loop ----------------------------------------------- *)
@@ -275,28 +283,32 @@ let rec body t s =
       corrupt_here t "thread id %d out of range (header declared %d)" tid t.p_threads;
     let h = !(t.handles) in
     if h.(tid) >= 0 then corrupt_here t "duplicate THREAD frame for tid %d" tid;
-    let n = alloc2 t in
-    Sp.enter t.sp ~parent:t.ictx ~left:n ~right:(n + 1) ~parallel:false;
-    let e = Sp.handle t.sp n in
+    charge t 2;
+    let e = if t.occupied then Om_fused.insert_after t.om t.ictx else t.ictx in
     h.(tid) <- e;
     (* The OM holds still until the next structural frame, so every
        query this thread's accesses make can reuse its labels.  Shard
        drains read the pin only while this domain waits in [flush]. *)
-    Om_fused.pin (Sp.om t.sp) e;
-    t.ictx <- n + 1;
+    Om_fused.pin t.om e;
+    t.ictx <- e;
+    t.occupied <- true;
     t.cur_tid <- tid;
     (match t.clock with Some c -> c.Spr_hb.Stream_clock.thread tid | None -> ());
     body t s
   end
   else if tag = Codec.tag_spawn then begin
     t.p_events <- t.p_events + 1;
-    let n = alloc2 t in
-    Sp.enter t.sp ~parent:t.ictx ~left:n ~right:(n + 1) ~parallel:true;
+    charge t 4;
+    let f = t.depth - 1 in
+    if t.brest.(f) < 0 then t.brest.(f) <- Om_fused.insert_after t.om t.ictx;
+    let lr = Om_fused.insert_children_packed t.om t.ictx ~parallel:true in
     ensure_frames t t.depth;
-    t.pctx.(t.depth) <- n;
-    t.resume.(t.depth) <- n + 1;
+    t.resume.(t.depth) <- Om_fused.packed_right lr;
+    t.brest.(t.depth) <- -1;
     t.depth <- t.depth + 1;
-    block_split t;
+    t.ictx <- Om_fused.packed_left lr;
+    t.occupied <- false;
+    t.cur_tid <- -1;
     (match t.clock with Some c -> c.Spr_hb.Stream_clock.spawn () | None -> ());
     body t s
   end
@@ -305,13 +317,23 @@ let rec body t s =
     if t.depth <= 1 then corrupt_here t "RETURN without a matching SPAWN";
     t.depth <- t.depth - 1;
     t.ictx <- t.resume.(t.depth);
+    t.occupied <- false;
     t.cur_tid <- -1;
     (match t.clock with Some c -> c.Spr_hb.Stream_clock.return_ () | None -> ());
     body t s
   end
   else if tag = Codec.tag_sync then begin
     t.p_events <- t.p_events + 1;
-    block_split t;
+    charge t 2;
+    let f = t.depth - 1 in
+    let b = t.brest.(f) in
+    (* A block that spawned nothing ends where it stands. *)
+    if b >= 0 then begin
+      t.ictx <- b;
+      t.occupied <- false;
+      t.brest.(f) <- -1
+    end;
+    t.cur_tid <- -1;
     (match t.clock with Some c -> c.Spr_hb.Stream_clock.sync () | None -> ());
     body t s
   end
@@ -344,13 +366,15 @@ let start_program t s =
   let threads = V.get s t.pos in
   let locs = V.get s t.pos in
   let nodes = V.get s t.pos in
-  (* Decode-side allocation is proportional to these hints, so a
-     corrupted header must not be able to demand gigabytes the body
+  (* The thread table and shadow memory are sized from these hints, so
+     a corrupted header must not be able to demand gigabytes the body
      can never justify: every thread costs a >= 3-byte THREAD frame,
-     the node budget is 3 + 2*threads + 4*spawns + 2*syncs <= 3 + 4x
-     the body bytes, and shadow memory gets a 64x sparseness allowance
-     (locations are declared as [1 + max_loc], so a short trace may
-     legitimately address a moderately larger space than it fills). *)
+     and shadow memory gets a 64x sparseness allowance (locations are
+     declared as [1 + max_loc], so a short trace may legitimately
+     address a moderately larger space than it fills).  The node budget
+     sizes nothing; it is part of the format, checked here against the
+     body's size (3 + 2*threads + 4*spawns + 2*syncs <= 3 + 4x the body
+     bytes) and by [charge] against the walk. *)
   let remaining = String.length s - !(t.pos) in
   if threads < 0 || threads > Codec.max_threads || threads > remaining then
     corrupt_here t "implausible thread count %d" threads;
@@ -361,7 +385,7 @@ let start_program t s =
   t.p_threads <- threads;
   t.p_locs <- locs;
   t.nodes_bound <- nodes;
-  Sp.reset t.sp ~nodes ~root:0;
+  Om_fused.reset t.om;
   if threads > Array.length !(t.handles) then t.handles := Array.make (2 * threads) (-1)
   else Array.fill !(t.handles) 0 threads (-1);
   if t.nshards = 1 then begin
@@ -380,14 +404,16 @@ let start_program t s =
       t.shard_arr
   end;
   t.depth <- 1;
-  t.pctx.(0) <- 0;
+  t.brest.(0) <- -1;
   t.next <- 1;
-  t.ictx <- 0;
+  t.ictx <- Om_fused.base t.om;
+  t.occupied <- false;
   t.cur_tid <- -1;
   t.p_events <- 0;
   t.p_accesses <- 0;
   (match t.clock with Some c -> c.Spr_hb.Stream_clock.reset () | None -> ());
-  block_split t
+  (* The main procedure's first sync block. *)
+  charge t 2
 
 (* Races/queries for the just-finished program, without materializing
    lists (throughput and gate paths). *)

@@ -3,16 +3,20 @@
 
     The server decodes a [.spr-trace] stream frame by frame and
     maintains the SP relationships {e online}: structural frames drive
-    the fused English/Hebrew order ({!Spr_core.Sp_order_fused}) through
-    exactly the insertions the canonical parse-tree walk would make —
-    a continuation context per procedure-call frame, split at every
-    [SYNC] — so no parse tree is ever materialized, and access frames
-    are checked against shadow memory immediately (single-shard) or
-    batched into address-range shards and drained across domains
-    ({!Shard}).  A [PROG] frame rewinds everything in place (O(1)
-    {!Spr_core.Sp_order_fused.reset}, shadow/batch clears), which is
-    what makes the server resident: steady state across programs
-    allocates nothing on the decode path.
+    the fused English/Hebrew order ({!Spr_om.Om_fused}) by element, with
+    no parse tree, no node ids and no lookahead.  SP queries compare
+    threads only, so each thread gets one element — the element of the
+    context it runs in when nothing has run there yet, else a fresh one
+    right after it — and a sync block gets one continuation element at
+    its first [SPAWN], which its [SYNC] resumes at.  The result is a
+    re-association of the canonical parse tree with each thread on its
+    parent's element, which answers every query as the canonical tree
+    does with fewer elements.  Access frames are checked against shadow
+    memory immediately (single-shard) or batched into address-range
+    shards and drained across domains ({!Shard}).  A [PROG] frame
+    rewinds everything in place (O(1) {!Spr_om.Om_fused.reset},
+    shadow/batch clears), which is what makes the server resident:
+    steady state across programs allocates nothing on the decode path.
 
     Race reports are byte-identical to
     {!Spr_race.Drivers.detect_serial} on the original program — same
@@ -85,6 +89,11 @@ val drive : t -> string -> unit
     @raise Codec.Corrupt on malformed input. *)
 
 val stats : t -> stats
+
+val om : t -> Spr_om.Om_fused.t
+(** The fused English/Hebrew order the walk drives (size, relabel
+    counters and invariants, for introspection).  It holds the last
+    program's elements until the next [PROG] frame rewinds it. *)
 
 val close : t -> unit
 (** Join the worker domains.  Idempotent. *)

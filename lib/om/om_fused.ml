@@ -437,6 +437,18 @@ let insert_children_packed t x ~parallel =
   t.size <- t.size + 2;
   (l lsl 31) lor r
 
+(* [insert_after t x] allocates one fresh element and places it
+   immediately after [x] in both orders: a lone S-child of [x], for
+   walks that only ever append to a region ending at [x]. *)
+let insert_after t x =
+  check_alive "Om_fused.insert_after" t x;
+  t.pin <- nil;
+  let y = alloc_item t in
+  link_after t t.eng x y;
+  link_after t t.heb x y;
+  t.size <- t.size + 1;
+  y
+
 let packed_left lr = lr lsr 31
 
 let packed_right lr = lr land 0x7FFFFFFF

@@ -12,14 +12,15 @@
 
     Each order runs the identical two-level algorithm as {!Om} /
     {!Om_packed} (capacity-62 buckets, Bender-style top-level
-    relabeling over the 60-bit universe), and the insertion sequences
-    exposed here ({!insert_children}) are exactly those {!Sp_order}
-    issues, so the per-plane relabel counters are bit-identical to
-    running a boxed English {!Om} and Hebrew {!Om} side by side
-    (pinned by qcheck).  Insert, query and delete allocate nothing;
-    {!reset} rewinds to a fresh single-element structure without
-    touching the GC, which is what lets an end-to-end [sp-order-fused]
-    run hold steady at zero minor words. *)
+    relabeling over the 60-bit universe), and the insertions exposed
+    here ({!insert_children}, which issues exactly {!Sp_order}'s
+    sequence, and {!insert_after}) are per plane a boxed
+    {!Om.insert_after}, so the per-plane relabel counters are
+    bit-identical to running a boxed English {!Om} and Hebrew {!Om}
+    side by side (pinned by qcheck).  Insert, query and delete
+    allocate nothing; {!reset} rewinds to a fresh single-element
+    structure without touching the GC, which is what lets an
+    end-to-end [sp-order-fused] run hold steady at zero minor words. *)
 
 type t
 
@@ -56,6 +57,14 @@ val insert_children_packed : t -> elt -> parallel:bool -> int
 (** Allocation-free variant: result is [(left lsl 31) lor right];
     unpack with {!packed_left} / {!packed_right}. *)
 
+val insert_after : t -> elt -> elt
+(** [insert_after t x] allocates one fresh element and splices it
+    immediately after [x] in both orders — an S-child of [x] placed
+    right after it in English and Hebrew alike.  Each plane runs
+    {!Om.insert_after}'s split/respace steps, so the counters stay
+    bit-identical to a boxed pair driven the same way.  Allocation-free.
+    @raise Invalid_argument if [x] was deleted. *)
+
 val packed_left : int -> elt
 
 val packed_right : int -> elt
@@ -77,8 +86,8 @@ val sp_precedes : t -> elt -> elt -> bool
 val pin : t -> elt -> unit
 (** [pin t y] caches [y]'s labels in both orders for {!sp_precedes}
     queries whose later operand is [y] — the running thread, in a race
-    detector.  {!reset}, {!insert_children} and {!delete} clear the
-    pin; while none is set, no handle matches it.
+    detector.  {!reset}, {!insert_children}, {!insert_after} and
+    {!delete} clear the pin; while none is set, no handle matches it.
     @raise Invalid_argument if [y] is deleted. *)
 
 val sp_parallel : t -> elt -> elt -> bool

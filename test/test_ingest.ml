@@ -225,6 +225,113 @@ let deep_nesting () =
         ])
 
 (* ------------------------------------------------------------------ *)
+(* 4c. The streaming construction's OM work, and each of its cases.    *)
+
+(* The fused order's size after the server ingests [p], counted from the
+   program: the base, two elements per spawn (its P-node's children),
+   one per block that spawns (the block's continuation), and one per
+   thread that does not open a fresh context — a thread takes the
+   element it runs at when nothing has run there yet: at the start of a
+   procedure, after a RETURN, and after a SYNC that ends a spawning
+   block.  [item] and [block] return whether the next item's context is
+   fresh. *)
+let om_elements p =
+  let n = ref 1 in
+  let rec proc (pr : Fj.proc) = ignore (Array.fold_left block true pr.Fj.blocks)
+  and block fresh blk =
+    let spawns = Array.exists (function Fj.Spawn _ -> true | Fj.Run _ -> false) blk in
+    if spawns then incr n;
+    let fresh = Array.fold_left item fresh blk in
+    fresh || spawns
+  and item fresh = function
+    | Fj.Run _ ->
+        if not fresh then incr n;
+        false
+    | Fj.Spawn c ->
+        n := !n + 2;
+        proc c;
+        true
+  in
+  proc (Fj.main p);
+  !n
+
+let check_om_work ctx srv p =
+  let om = Server.om srv in
+  Spr_om.Om_fused.check_invariants om;
+  Alcotest.(check int) (ctx ^ ": OM elements") (om_elements p) (Spr_om.Om_fused.size om)
+
+let om_work_registry () =
+  with_server (fun srv ->
+      List.iter
+        (fun name ->
+          let p = (Option.get (W.find_opt name)) ~size:(size_for name) ~seed:3 in
+          ignore (run_one ~ctx:name srv (Codec.capture [ p ]));
+          check_om_work name srv p)
+        W.names)
+
+let om_work_random =
+  let srv = Server.create () in
+  QCheck2.Test.make ~count:80 ~name:"OM elements = the program's own count on random programs"
+    QCheck2.Gen.(pair (0 -- 1_000_000) (2 -- 60))
+    (fun (seed, threads) ->
+      let p = W.random_prog ~rng:(Rng.create seed) ~threads ~locs:8 ~accesses_per_thread:4 () in
+      ignore (run_one srv (Codec.capture [ p ]));
+      check_om_work (Printf.sprintf "seed %d" seed) srv p;
+      true)
+
+(* One program per case of the construction.  Every thread reads and
+   writes location 0 and writes one location of its own, so a thread
+   placed on the wrong side of another shows up as a missing or a false
+   race. *)
+let construction_cases =
+  let build f =
+    let b = Fj.Builder.create () in
+    let next = ref 0 in
+    let rw () =
+      incr next;
+      Fj.Run
+        (Fj.Builder.thread b
+           ~accesses:
+             [
+               { Fj.loc = 0; write = false; locks = [] };
+               { Fj.loc = 0; write = true; locks = [] };
+               { Fj.loc = !next; write = true; locks = [] };
+             ]
+           ~cost:1 ())
+    in
+    let proc blocks = Fj.Spawn (Fj.Builder.proc b blocks) in
+    Fj.Builder.finish b (Fj.Builder.proc b (f rw proc))
+  in
+  [
+    ("spawn-free blocks joined by SYNC", W.serial ~n:12 ());
+    ("spawn-free blocks, then a spawning one",
+      build (fun rw proc -> [ [ rw (); rw () ]; [ rw () ]; [ proc [ [ rw () ] ]; rw () ] ]));
+    ("Run; Spawn in one block",
+      build (fun rw proc -> [ [ rw (); proc [ [ rw () ] ] ]; [ rw () ] ]));
+    ("a block ending in a Spawn, then SYNC",
+      build (fun rw proc -> [ [ proc [ [ rw () ] ]; proc [ [ rw () ] ] ]; [ rw () ] ]));
+    ("a Run right after RETURN",
+      build (fun rw proc ->
+          [ [ proc [ [ rw () ] ]; rw (); rw (); proc [ [ rw () ] ] ]; [ rw () ] ]));
+    ("a SYNC inside a child procedure",
+      build (fun rw proc ->
+          let child = proc [ [ rw (); proc [ [ rw () ] ]; rw () ]; [ rw () ] ] in
+          [ [ rw (); child; rw () ]; [ rw () ] ]));
+  ]
+
+let construction_cases_match () =
+  List.iter
+    (fun shards ->
+      with_server ~shards (fun srv ->
+          List.iter
+            (fun (name, p) ->
+              let ctx = Printf.sprintf "%s, %d shard(s)" name shards in
+              check_result ctx (oracle p) (run_one ~ctx srv (Codec.capture [ p ]));
+              check_om_work ctx srv p)
+            construction_cases))
+    [ 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
 (* 5. Multi-program traces: one stream, per-program results.           *)
 
 let multi_program_trace () =
@@ -372,6 +479,12 @@ let () =
       ( "resident",
         [ Alcotest.test_case "in-place reuse" `Quick resident_reuse ] );
       ("deep", [ Alcotest.test_case "fused walk = server at 10^5 levels" `Quick deep_nesting ]);
+      ( "om-walk",
+        [
+          Alcotest.test_case "OM elements on every workload" `Quick om_work_registry;
+          QCheck_alcotest.to_alcotest om_work_random;
+          Alcotest.test_case "each case matches detect_serial" `Quick construction_cases_match;
+        ] );
       ( "decoder",
         [
           Alcotest.test_case "diagnostics locate the frame" `Quick diagnostics_locate_the_frame;

@@ -429,7 +429,10 @@ let check_same_stats label (got : Spr_om.Om_intf.stats) (want : Spr_om.Om_intf.s
    gap ends at its right sibling's tag — down to 3, 2, 1 or 0, and is
    respaced, from a different bucket size each time.  Together they
    cover both sides of each bound of the pair fast path in [Om_fused],
-   and a wrong tag for either child of a pair shifts a later respace. *)
+   and a wrong tag for either child of a pair shifts a later respace.
+   With [singles] a third of the inserts are a lone [insert_after] at
+   the same anchor instead of a pair, so bucket sizes and gaps take
+   both parities. *)
 type anchor_policy = Mixed | Hammer of { at_base : bool; churn : bool }
 
 let anchor_policies =
@@ -446,8 +449,8 @@ let hammer_rounds = 2_000
 let fused_matches_boxed_pair =
   QCheck2.Test.make ~count:60
     ~name:"om-fused: counters bit-identical to boxed English+Hebrew pair"
-    QCheck2.Gen.(triple (0 -- 1_000_000) (5 -- 120) (oneofl anchor_policies))
-    (fun (seed, rounds, policy) ->
+    QCheck2.Gen.(quad (0 -- 1_000_000) (5 -- 120) (oneofl anchor_policies) bool)
+    (fun (seed, rounds, policy, singles) ->
       let module F = Spr_om.Om_fused in
       let module O = Spr_om.Om in
       let rng = Rng.create seed in
@@ -478,20 +481,25 @@ let fused_matches_boxed_pair =
               | Hammer { at_base = true; _ } -> Spr_util.Vec.get live 0
               | Hammer { at_base = false; _ } -> !newest_left
             in
-            let parallel = Rng.bool rng in
-            let fl, fr = F.insert_children f fe ~parallel in
-            let (le, lh), (re, rh) = fused_link_boxed eng heb be bh ~parallel in
+            let inserted =
+              if singles && Rng.int rng 3 = 0 then
+                [ (F.insert_after f fe, O.insert_after eng be, O.insert_after heb bh) ]
+              else
+                let parallel = Rng.bool rng in
+                let fl, fr = F.insert_children f fe ~parallel in
+                let (le, lh), (re, rh) = fused_link_boxed eng heb be bh ~parallel in
+                [ (fl, le, lh); (fr, re, rh) ]
+            in
             (* A hammer deletes only from the tail (never the base at
-               index 0), so the tail pairs are the newest. *)
+               index 0), so the tail elements are the newest. *)
             (match policy with
             | Hammer { churn = true; _ } ->
                 for _ = 1 to min (2 * Rng.int rng 3) (Spr_util.Vec.length live - 1) do
                   Option.iter delete (Spr_util.Vec.pop live)
                 done
             | Mixed | Hammer _ -> ());
-            newest_left := (fl, le, lh);
-            Spr_util.Vec.push live (fl, le, lh);
-            Spr_util.Vec.push live (fr, re, rh));
+            newest_left := List.hd inserted;
+            List.iter (Spr_util.Vec.push live) inserted);
         if policy = Mixed || round mod 100 = 0 then F.check_invariants f
       done;
       F.check_invariants f;
@@ -563,12 +571,12 @@ let fused_free_list_reuse =
 (* [Om_fused.pin] caches one element's labels for [sp_precedes], and
    every mutator clears it.  So a query whose later operand is the last
    pinned element must agree with the two orders whatever ran since the
-   pin: pair inserts under the hammer policies (splits, respaces and top
-   relabels move the pinned element), deletes (of the pinned element
-   too, after which the query must raise) and resets (after which the
-   pinned slot is stale until a new element reuses it).  Pins are
-   sporadic, so most queries run against a pin set several mutations
-   ago. *)
+   pin: pair and single inserts under the hammer policies (splits,
+   respaces and top relabels move the pinned element), deletes (of the
+   pinned element too, after which the query must raise) and resets
+   (after which the pinned slot is stale until a new element reuses
+   it).  Pins are sporadic, so most queries run against a pin set
+   several mutations ago, some of them only single inserts ago. *)
 let fused_pin_matches_orders =
   QCheck2.Test.make ~count:60 ~name:"om-fused: pinned sp_precedes = both orders agree"
     QCheck2.Gen.(pair (0 -- 1_000_000) (oneofl anchor_policies))
@@ -629,16 +637,20 @@ let fused_pin_matches_orders =
             | Hammer { at_base = true; _ } -> F.base f
             | Hammer { at_base = false; _ } -> !newest_left
           in
-          let l, r = F.insert_children f anchor ~parallel:(Rng.bool rng) in
+          let inserted =
+            if Rng.int rng 3 = 0 then [ F.insert_after f anchor ]
+            else
+              let l, r = F.insert_children f anchor ~parallel:(Rng.bool rng) in
+              [ l; r ]
+          in
           (match policy with
           | Hammer { churn = true; _ } ->
               for _ = 1 to min (2 * Rng.int rng 3) (Vec.length live - 1) do
                 remove_at (Vec.length live - 1)
               done
           | Mixed | Hammer _ -> ());
-          newest_left := l;
-          add l;
-          add r
+          newest_left := List.hd inserted;
+          List.iter add inserted
         end;
         query (F.base f);
         if Hashtbl.mem is_live !newest_left then query !newest_left;
@@ -675,6 +687,13 @@ let fused_use_after_delete () =
   F.delete t r;
   rejects_bad l
     [ ("a deleted handle", r); ("a negative handle", -1); ("a very negative handle", min_int) ];
+  List.iter
+    (fun (what, bad) ->
+      Alcotest.check_raises ("insert_after rejects " ^ what)
+        (Invalid_argument "Om_fused.insert_after: deleted element") (fun () ->
+          ignore (F.insert_after t bad)))
+    [ ("a deleted handle", r); ("a negative handle", -1); ("a handle past the slots", 1_000) ];
+  Alcotest.(check int) "rejected inserts add nothing" 2 (F.size t);
   List.iter
     (fun (what, bad) ->
       Alcotest.check_raises ("pin rejects " ^ what)
