@@ -26,20 +26,15 @@
        minor-heap words.  --plant plants one allocation per iteration
        so CI can check the gate actually trips.
 
-     regress --alloc-gate --e2e [--plant] [--iters N]
-       The end-to-end variant: a full sp-order-fused race-detection
-       run per iteration — the direct fork/join walk of the program
-       splicing children into the fused English/Hebrew orders, every
-       shadow access and SP query (Spr_race.Drivers.Fused) — over a
-       deterministic race-free fork-join program, pinned at zero minor
-       words in steady state.
-
      regress --alloc-gate --ingest [--plant] [--iters N]
-       The ingestion-service variant: one full Spr_ingest.Server.drive
-       per iteration — trace header check, every frame decoded,
-       streaming SP construction and every shadow access — over a
-       captured race-free trace that takes every branch of the
-       construction, pinned at zero minor words in steady state.
+       The end-to-end variant, for both detectors that drive the
+       Spr_core.Sp_stream construction, over three race-free programs
+       that take every branch of it.  Each iteration is one full
+       Spr_ingest.Server.drive over their captured trace (header
+       check, every frame decoded, every shadow access and SP query)
+       in one probe region, and one Spr_race.Drivers.Fused.run on each
+       program (the in-memory walk, every access and query) in the
+       other.  Either region reading a minor-heap word fails the gate.
 
      regress --probe-gate [--max-ns F]
        Bechamel-measure an uninstalled Spr_obs.Probe.span and fail if
@@ -245,96 +240,74 @@ let e2e_program ~depth =
   in
   Fj.Builder.finish b main
 
-(* One iteration = one complete detection pass, rewound in place:
-   the direct program walk into the fused English/Hebrew orders +
-   every access and SP query.  Steady state must stay at zero minor
-   words with the boxed option/record traffic gone from walk, OM pair
-   and shadow cells alike. *)
-let alloc_gate_e2e ~plant ~iters () =
-  let program = e2e_program ~depth:7 in
-  let pipeline = Spr_race.Drivers.Fused.create program in
-  let runs k =
-    for i = 0 to k - 1 do
-      Spr_race.Drivers.Fused.run pipeline;
-      if plant then ignore (Sys.opaque_identity (ref i))
-    done
-  in
-  (* Reach steady state (fused-OM high-water marks) before
-     measuring. *)
-  runs 3;
-  let first = Spr_race.Drivers.Fused.result pipeline in
-  if first.Spr_race.Drivers.races <> [] then
-    die "alloc-gate --e2e: the fixed program must be race-free (internal bug)";
+module Server = Spr_ingest.Server
+module Fused = Spr_race.Drivers.Fused
+
+(* One region's steady state: [iters] iterations counted unprobed,
+   then the same again inside the named probe region for the
+   attribution snapshot. *)
+let gate_region ~name ~iters runs =
   let (), words = Probe.alloc_words (fun () -> runs iters) in
   Probe.install ~runtime_events:true ();
-  let region = Probe.region "sp-order-fused/e2e" in
-  Probe.span region (fun () -> runs iters);
+  Probe.span (Probe.region name) (fun () -> runs iters);
   Probe.uninstall ();
-  Printf.printf
-    "alloc-gate: %d end-to-end sp-order-fused runs (%d threads, %d SP queries/run)\n" iters
-    (Fj.thread_count program) first.Spr_race.Drivers.sp_queries;
-  Printf.printf "alloc-gate: minor-heap words in steady state: %d%s\n" words
-    (if plant then " (with planted allocation)" else "");
   Format.printf "%a" Probe.pp_snapshot
-    (List.filter (fun (n, _) -> n = "sp-order-fused/e2e") (Probe.snapshot ()));
-  if words > 0 then begin
-    Printf.printf "alloc-gate: FAIL — end-to-end steady state allocated on the minor heap\n";
-    exit 1
-  end
-  else Printf.printf "alloc-gate: OK — end-to-end steady state is allocation-free\n"
+    (List.filter (fun (n, _) -> n = name) (Probe.snapshot ()));
+  Printf.printf "alloc-gate: %s: minor-heap words in steady state: %d\n" name words;
+  words
 
-(* ------------------------------------------------------------------ *)
-(* Mode 2c: the ingestion-service allocation gate.                     *)
-
-module Server = Spr_ingest.Server
-
-(* One iteration = one resident-server pass over a captured trace of
-   three race-free programs: header checks, every frame decoded, the
-   streaming SP walk, every shadow access and SP query.  The e2e gate's
-   program spawns and runs a thread after each RETURN; fib adds blocks
-   whose SYNC ends a spawning block; serial's spawn-free blocks put
-   threads after threads, so a THREAD frame inserts an element.  The
-   decode loop keeps all its state in the server record, so steady
-   state must stay at zero minor words. *)
+(* One iteration of the server region = one resident-server pass over
+   a captured trace of three race-free programs: header checks, every
+   frame decoded, the SP walk, every shadow access and SP query.  One
+   iteration of the Fused region = one in-place detection run on each
+   of the same programs.  [e2e_program] spawns and runs a thread after
+   each RETURN; fib adds blocks whose SYNC ends a spawning block;
+   serial's spawn-free blocks put threads after threads, so a thread
+   inserts an element.  Both loops keep all their state in records
+   built once, so steady state must stay at zero minor words. *)
 let alloc_gate_ingest ~plant ~iters () =
   let programs =
     [ e2e_program ~depth:7; Spr_workloads.Progs.fib ~n:10 (); Spr_workloads.Progs.serial ~n:64 () ]
   in
   let trace = Spr_ingest.Codec.capture programs in
   let srv = Server.create () in
-  let runs k =
+  let pipelines = Array.of_list (List.map Fused.create programs) in
+  let drives k =
     for i = 0 to k - 1 do
       Server.drive srv trace;
       if plant then ignore (Sys.opaque_identity (ref i))
     done
   in
-  (* Reach steady state (shadow width, leaf table, SP capacity). *)
-  runs 3;
+  let runs k =
+    for i = 0 to k - 1 do
+      for j = 0 to Array.length pipelines - 1 do
+        Fused.run pipelines.(j)
+      done;
+      if plant then ignore (Sys.opaque_identity (ref i))
+    done
+  in
+  (* Reach steady state (shadow width, tid tables, OM capacity). *)
+  let warm = 3 in
+  drives warm;
+  runs warm;
   let st = Server.stats srv in
-  if st.Server.races <> 0 then
-    die "alloc-gate --ingest: the fixed trace must be race-free (internal bug)";
-  let (), words = Probe.alloc_words (fun () -> runs iters) in
-  Probe.install ~runtime_events:true ();
-  let region = Probe.region "ingest/drive" in
-  Probe.span region (fun () -> runs iters);
-  Probe.uninstall ();
-  let st = Server.stats srv in
-  let drives = st.Server.programs / List.length programs in
+  if st.Server.races <> 0
+     || Array.exists (fun f -> (Fused.result f).Spr_race.Drivers.races <> []) pipelines
+  then die "alloc-gate --ingest: the fixed programs must be race-free (internal bug)";
   Printf.printf
-    "alloc-gate: %d resident-server drives (%d-byte trace, %d programs, %d events, %d SP \
-     queries/drive)\n"
-    iters (String.length trace) (List.length programs) (st.Server.events / drives)
-    (st.Server.sp_queries / drives);
-  Printf.printf "alloc-gate: minor-heap words in steady state: %d%s\n" words
-    (if plant then " (with planted allocation)" else "");
-  Format.printf "%a" Probe.pp_snapshot
-    (List.filter (fun (n, _) -> n = "ingest/drive") (Probe.snapshot ()));
+    "alloc-gate: %d iterations of %d programs (%d-byte trace, %d events, %d SP queries per \
+     pass)%s\n"
+    iters (List.length programs) (String.length trace)
+    (st.Server.events / warm) (st.Server.sp_queries / warm)
+    (if plant then ", with a planted allocation" else "");
+  let server_words = gate_region ~name:"ingest/drive" ~iters drives in
+  let fused_words = gate_region ~name:"fused/run" ~iters runs in
   Server.close srv;
-  if words > 0 then begin
-    Printf.printf "alloc-gate: FAIL — ingestion steady state allocated on the minor heap\n";
+  if server_words > 0 || fused_words > 0 then begin
+    Printf.printf "alloc-gate: FAIL — detection steady state allocated on the minor heap\n";
     exit 1
   end
-  else Printf.printf "alloc-gate: OK — ingestion steady state is allocation-free\n"
+  else Printf.printf "alloc-gate: OK — detection steady state is allocation-free\n"
 
 (* ------------------------------------------------------------------ *)
 (* Mode 3: uninstalled-probe overhead gate.                            *)
@@ -372,47 +345,44 @@ let probe_gate ~max_ns () =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let rec parse paths threshold alloc e2e ingest plant probe max_ns iters = function
+  let rec parse paths threshold alloc ingest plant probe max_ns iters = function
     | "--threshold" :: v :: rest -> (
         match float_of_string_opt v with
-        | Some r when r >= 1.0 -> parse paths r alloc e2e ingest plant probe max_ns iters rest
+        | Some r when r >= 1.0 -> parse paths r alloc ingest plant probe max_ns iters rest
         | _ -> die "--threshold takes a ratio >= 1.0")
     | "--threshold" :: [] -> die "--threshold takes a ratio >= 1.0"
-    | "--alloc-gate" :: rest -> parse paths threshold true e2e ingest plant probe max_ns iters rest
-    | "--e2e" :: rest -> parse paths threshold alloc true ingest plant probe max_ns iters rest
-    | "--ingest" :: rest -> parse paths threshold alloc e2e true plant probe max_ns iters rest
-    | "--plant" :: rest -> parse paths threshold alloc e2e ingest true probe max_ns iters rest
-    | "--probe-gate" :: rest -> parse paths threshold alloc e2e ingest plant true max_ns iters rest
+    | "--alloc-gate" :: rest -> parse paths threshold true ingest plant probe max_ns iters rest
+    | "--ingest" :: rest -> parse paths threshold alloc true plant probe max_ns iters rest
+    | "--plant" :: rest -> parse paths threshold alloc ingest true probe max_ns iters rest
+    | "--probe-gate" :: rest -> parse paths threshold alloc ingest plant true max_ns iters rest
     | "--max-ns" :: v :: rest -> (
         match float_of_string_opt v with
-        | Some f when f > 0.0 -> parse paths threshold alloc e2e ingest plant probe f iters rest
+        | Some f when f > 0.0 -> parse paths threshold alloc ingest plant probe f iters rest
         | _ -> die "--max-ns takes a positive float")
     | "--max-ns" :: [] -> die "--max-ns takes a positive float"
     | "--iters" :: v :: rest -> (
         match int_of_string_opt v with
         | Some i when i > 0 ->
-            parse paths threshold alloc e2e ingest plant probe max_ns (Some i) rest
+            parse paths threshold alloc ingest plant probe max_ns (Some i) rest
         | _ -> die "--iters takes a positive int")
     | "--iters" :: [] -> die "--iters takes a positive int"
-    | a :: rest -> parse (a :: paths) threshold alloc e2e ingest plant probe max_ns iters rest
-    | [] -> (List.rev paths, threshold, alloc, e2e, ingest, plant, probe, max_ns, iters)
+    | a :: rest -> parse (a :: paths) threshold alloc ingest plant probe max_ns iters rest
+    | [] -> (List.rev paths, threshold, alloc, ingest, plant, probe, max_ns, iters)
   in
-  let paths, threshold, alloc, e2e, ingest, plant, probe, max_ns, iters =
-    parse [] 1.5 false false false false false 5.0 None args
+  let paths, threshold, alloc, ingest, plant, probe, max_ns, iters =
+    parse [] 1.5 false false false false 5.0 None args
   in
-  match (alloc, e2e, ingest, probe, paths) with
-  (* An e2e or ingest iteration is a whole detection run (~500
-     fork/joins and ~800 accesses), so the default iteration count is
-     scaled down from the per-operation gate's. *)
-  | true, true, false, false, [] ->
-      alloc_gate_e2e ~plant ~iters:(Option.value ~default:2_000 iters) ()
-  | true, false, true, false, [] ->
+  match (alloc, ingest, probe, paths) with
+  (* An ingest iteration is whole detection runs (~500 fork/joins and
+     ~800 accesses each), so the default iteration count is scaled down
+     from the per-operation gate's. *)
+  | true, true, false, [] ->
       alloc_gate_ingest ~plant ~iters:(Option.value ~default:2_000 iters) ()
-  | true, false, false, false, [] ->
+  | true, false, false, [] ->
       alloc_gate ~plant ~iters:(Option.value ~default:100_000 iters) ()
-  | false, false, false, true, [] -> probe_gate ~max_ns ()
-  | false, false, false, false, [ b; c ] -> compare_mode b c threshold
+  | false, false, true, [] -> probe_gate ~max_ns ()
+  | false, false, false, [ b; c ] -> compare_mode b c threshold
   | _ ->
       die
         "usage: regress BASELINE.json CANDIDATE.json [--threshold R] | regress --alloc-gate \
-         [--e2e | --ingest] [--plant] [--iters N] | regress --probe-gate [--max-ns F]"
+         [--ingest] [--plant] [--iters N] | regress --probe-gate [--max-ns F]"

@@ -7,8 +7,7 @@
    interleaved records.  The raw-id API ([enter]/[precedes_id]/
    [parallel_id]) plus [reset] is what the benchmark's traced replay
    drives, numbering the nodes it creates; the detectors need no node
-   ids — the serial [Drivers.Fused] pipeline and the streaming [Server]
-   drive {!Spr_om.Om_fused} directly by element.  The {!Spr_core.Sp_maintainer.S}
+   ids — both drive {!Sp_stream}.  The {!Spr_core.Sp_maintainer.S}
    surface on top is for the registry, Figure-3 tables and
    cross-validation. *)
 

@@ -16,7 +16,7 @@
     constructors, no queries through option boxes.  Its one user is the
     benchmark's traced replay.  The detectors need no ids: the serial
     [Drivers.Fused] pipeline and the streaming ingestion [Server] both
-    drive {!Spr_om.Om_fused} directly by element. *)
+    drive {!Sp_stream}, which documents their construction. *)
 
 include Sp_maintainer.S
 

@@ -1,6 +1,6 @@
 module V = Spr_util.Varint
 module D = Spr_race.Detector
-module Om_fused = Spr_om.Om_fused
+module Sp_stream = Spr_core.Sp_stream
 module Hook = Spr_schedhook.Hook
 module Sharded = Spr_obs.Sharded
 
@@ -44,19 +44,13 @@ type t = {
   pool : Shard.Pool.pool option;
   shard_arr : Shard.t array;  (* empty when nshards = 1 *)
   tasks : (unit -> unit) array;  (* drain thunks, built once *)
-  om : Om_fused.t;
+  sp : Sp_stream.t;  (* the SP-order construction the structural frames drive *)
   clock : Spr_hb.Stream_clock.t option;  (* Some iff a clock oracle *)
-  handles : int array ref;  (* tid -> the thread's fused element, -1 = not yet run *)
   precedes : executed:int -> current:int -> bool;
   mutable det : D.t;  (* the single-shard detector *)
   mutable det_locs : int;
-  mutable resume : int array;  (* per call frame: continuation after RETURN *)
-  mutable brest : int array;  (* per call frame: block continuation, -1 before its first SPAWN *)
   pos : int ref;
   (* Per-program decode state. *)
-  mutable depth : int;
-  mutable ictx : Om_fused.elt;  (* the rest of the current block goes right after it *)
-  mutable occupied : bool;  (* [ictx] is the last thread's own element *)
   mutable cur_tid : int;  (* -1 between THREAD frames *)
   mutable next : int;  (* node budget used so far *)
   mutable nodes_bound : int;
@@ -89,7 +83,7 @@ type t = {
 
 let shards t = t.nshards
 
-let om t = t.om
+let om t = Sp_stream.om t.sp
 
 let create ?(shards = 1) ?(batch = 8192) ?(oracle = Sp_fused) ?runner () =
   if shards < 1 || shards > 64 then
@@ -101,23 +95,17 @@ let create ?(shards = 1) ?(batch = 8192) ?(oracle = Sp_fused) ?runner () =
      node's label live, so only it supports deferred queries. *)
   if oracle <> Sp_fused && shards > 1 then
     invalid_arg "Server.create: clock oracles (hb-vector, hb-tree) require shards = 1";
-  let om = Om_fused.create () in
-  let handles = ref (Array.make 64 (-1)) in
+  let sp = Sp_stream.create () in
   let clock =
     match oracle with
     | Sp_fused -> None
     | Hb_vector -> Some (Spr_hb.Stream_clock.vector ())
     | Hb_tree -> Some (Spr_hb.Stream_clock.tree ())
   in
-  (* Lemma 1 on the two threads' fused elements; [current] is the
-     running thread, which the walk pins at its THREAD frame. *)
   let precedes =
     match clock with
     | Some c -> c.Spr_hb.Stream_clock.precedes
-    | None ->
-        fun ~executed ~current ->
-          let h = !handles in
-          Om_fused.sp_precedes om h.(executed) h.(current)
+    | None -> Sp_stream.precedes sp
   in
   let shard_arr =
     if shards = 1 then [||]
@@ -140,18 +128,12 @@ let create ?(shards = 1) ?(batch = 8192) ?(oracle = Sp_fused) ?runner () =
     pool;
     shard_arr;
     tasks = Array.map (fun sh () -> Shard.drain sh) shard_arr;
-    om;
+    sp;
     clock;
-    handles;
     precedes;
     det = D.create ~locs:1 ~precedes ();
     det_locs = 1;
-    resume = Array.make 64 0;
-    brest = Array.make 64 (-1);
     pos = ref 0;
-    depth = 0;
-    ictx = 0;
-    occupied = false;
     cur_tid = -1;
     next = 0;
     nodes_bound = 0;
@@ -184,26 +166,11 @@ let create ?(shards = 1) ?(batch = 8192) ?(oracle = Sp_fused) ?runner () =
 
 let close t = match t.pool with None -> () | Some p -> Shard.Pool.shutdown p
 
-(* --- Streaming SP construction ------------------------------------ *)
+(* --- Frame checks ----------------------------------------------- *)
 
-(* SP queries compare threads only (Corollary 2), so the walk gives
-   each thread one element and internal parse-tree nodes only the
-   elements a later splice needs.  The rest of the current block goes
-   right after [ictx], whose region (it and everything placed after it
-   since) holds everything earlier in the block.
-   - THREAD: takes [ictx] if it is fresh (nothing has run at it),
-     else a new element right after it.
-   - SPAWN: the block's first one puts the continuation [brest] right
-     after [ictx]; then [ictx] gets P-children, the callee running at
-     the left one and the caller resuming at the right one.  Both land
-     between [ictx] and [brest] in both orders.
-   - RETURN: the caller resumes at its fresh right child.
-   - SYNC: the block continues at [brest], after everything it spawned.
-   Every insert lands right after an element whose region holds
-   everything earlier in its block, so the two orders are those of a
-   re-association of the canonical parse tree's S-compositions, with
-   each thread on its parent's element, and Lemma 1 answers every query
-   as it does on the canonical tree. *)
+(* Structural frames drive {!Spr_core.Sp_stream}, which documents the
+   construction and trusts its input; every check on the frames is
+   made here, before the walk sees them. *)
 
 let corrupt_here t fmt = Codec.corrupt ~offset:!(t.pos) ~frame:(t.frame - 1) fmt
 
@@ -214,16 +181,6 @@ let charge t k =
   if t.next + k > t.nodes_bound then
     corrupt_here t "node budget exhausted (header declared %d nodes)" t.nodes_bound;
   t.next <- t.next + k
-
-let ensure_frames t depth =
-  if depth >= Array.length t.resume then begin
-    let cap = max 64 (2 * (depth + 1)) in
-    let nr = Array.make cap 0 and nb = Array.make cap (-1) in
-    Array.blit t.resume 0 nr 0 (Array.length t.resume);
-    Array.blit t.brest 0 nb 0 (Array.length t.brest);
-    t.resume <- nr;
-    t.brest <- nb
-  end
 
 (* --- The frame loop ----------------------------------------------- *)
 
@@ -281,17 +238,11 @@ let rec body t s =
     let _cost = V.get s t.pos in
     if tid < 0 || tid >= t.p_threads then
       corrupt_here t "thread id %d out of range (header declared %d)" tid t.p_threads;
-    let h = !(t.handles) in
-    if h.(tid) >= 0 then corrupt_here t "duplicate THREAD frame for tid %d" tid;
+    if Sp_stream.ran t.sp tid then corrupt_here t "duplicate THREAD frame for tid %d" tid;
     charge t 2;
-    let e = if t.occupied then Om_fused.insert_after t.om t.ictx else t.ictx in
-    h.(tid) <- e;
-    (* The OM holds still until the next structural frame, so every
-       query this thread's accesses make can reuse its labels.  Shard
-       drains read the pin only while this domain waits in [flush]. *)
-    Om_fused.pin t.om e;
-    t.ictx <- e;
-    t.occupied <- true;
+    (* This pins the thread's element.  Shard drains read the pin only
+       while this domain waits in [flush]. *)
+    Sp_stream.thread t.sp tid;
     t.cur_tid <- tid;
     (match t.clock with Some c -> c.Spr_hb.Stream_clock.thread tid | None -> ());
     body t s
@@ -299,25 +250,15 @@ let rec body t s =
   else if tag = Codec.tag_spawn then begin
     t.p_events <- t.p_events + 1;
     charge t 4;
-    let f = t.depth - 1 in
-    if t.brest.(f) < 0 then t.brest.(f) <- Om_fused.insert_after t.om t.ictx;
-    let lr = Om_fused.insert_children_packed t.om t.ictx ~parallel:true in
-    ensure_frames t t.depth;
-    t.resume.(t.depth) <- Om_fused.packed_right lr;
-    t.brest.(t.depth) <- -1;
-    t.depth <- t.depth + 1;
-    t.ictx <- Om_fused.packed_left lr;
-    t.occupied <- false;
+    Sp_stream.spawn t.sp;
     t.cur_tid <- -1;
     (match t.clock with Some c -> c.Spr_hb.Stream_clock.spawn () | None -> ());
     body t s
   end
   else if tag = Codec.tag_return then begin
     t.p_events <- t.p_events + 1;
-    if t.depth <= 1 then corrupt_here t "RETURN without a matching SPAWN";
-    t.depth <- t.depth - 1;
-    t.ictx <- t.resume.(t.depth);
-    t.occupied <- false;
+    if Sp_stream.depth t.sp <= 1 then corrupt_here t "RETURN without a matching SPAWN";
+    Sp_stream.return_ t.sp;
     t.cur_tid <- -1;
     (match t.clock with Some c -> c.Spr_hb.Stream_clock.return_ () | None -> ());
     body t s
@@ -325,14 +266,7 @@ let rec body t s =
   else if tag = Codec.tag_sync then begin
     t.p_events <- t.p_events + 1;
     charge t 2;
-    let f = t.depth - 1 in
-    let b = t.brest.(f) in
-    (* A block that spawned nothing ends where it stands. *)
-    if b >= 0 then begin
-      t.ictx <- b;
-      t.occupied <- false;
-      t.brest.(f) <- -1
-    end;
+    Sp_stream.sync t.sp;
     t.cur_tid <- -1;
     (match t.clock with Some c -> c.Spr_hb.Stream_clock.sync () | None -> ());
     body t s
@@ -351,8 +285,8 @@ let rec body t s =
     if claimed <> t.p_events then
       corrupt_here t "event-count mismatch (trailer says %d, decoded %d)" claimed
         t.p_events;
-    if t.depth <> 1 then
-      corrupt_here t "PROG_END with %d unreturned spawn frame(s)" (t.depth - 1);
+    if Sp_stream.depth t.sp <> 1 then
+      corrupt_here t "PROG_END with %d unreturned spawn frame(s)" (Sp_stream.depth t.sp - 1);
     if t.next <> t.nodes_bound then
       corrupt_here t "node-budget mismatch (header declared %d, walk used %d)"
         t.nodes_bound t.next;
@@ -385,9 +319,7 @@ let start_program t s =
   t.p_threads <- threads;
   t.p_locs <- locs;
   t.nodes_bound <- nodes;
-  Om_fused.reset t.om;
-  if threads > Array.length !(t.handles) then t.handles := Array.make (2 * threads) (-1)
-  else Array.fill !(t.handles) 0 threads (-1);
+  Sp_stream.reset t.sp ~threads;
   if t.nshards = 1 then begin
     let locs = max 1 locs in
     if locs > t.det_locs then begin
@@ -403,11 +335,7 @@ let start_program t s =
       (fun i sh -> Shard.prepare sh ~base:(i * width) ~width ~batch:t.batch)
       t.shard_arr
   end;
-  t.depth <- 1;
-  t.brest.(0) <- -1;
   t.next <- 1;
-  t.ictx <- Om_fused.base t.om;
-  t.occupied <- false;
   t.cur_tid <- -1;
   t.p_events <- 0;
   t.p_accesses <- 0;

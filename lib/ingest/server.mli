@@ -2,16 +2,11 @@
     detector.
 
     The server decodes a [.spr-trace] stream frame by frame and
-    maintains the SP relationships {e online}: structural frames drive
-    the fused English/Hebrew order ({!Spr_om.Om_fused}) by element, with
-    no parse tree, no node ids and no lookahead.  SP queries compare
-    threads only, so each thread gets one element — the element of the
-    context it runs in when nothing has run there yet, else a fresh one
-    right after it — and a sync block gets one continuation element at
-    its first [SPAWN], which its [SYNC] resumes at.  The result is a
-    re-association of the canonical parse tree with each thread on its
-    parent's element, which answers every query as the canonical tree
-    does with fewer elements.  Access frames are checked against shadow
+    maintains the SP relationships {e online}: THREAD, SPAWN, RETURN
+    and SYNC frames drive {!Spr_core.Sp_stream}, the lookahead-free
+    SP-order construction that {!Spr_race.Drivers.Fused} also drives
+    and whose header documents it, while the server keeps every frame
+    check and diagnostic.  Access frames are checked against shadow
     memory immediately (single-shard) or batched into address-range
     shards and drained across domains ({!Shard}).  A [PROG] frame
     rewinds everything in place (O(1) {!Spr_om.Om_fused.reset},

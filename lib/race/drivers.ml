@@ -92,77 +92,63 @@ let detect_serial_releasing pt =
 
 (* ------------------------------------------------------------------ *)
 (* The fully packed pipeline: fused English/Hebrew SP-order + packed
-   shadow cells, rewound in place by [run].  An Enter needs only the
-   parent's element (Figure 5, lines 4-7), so the walk splices
-   children straight from the program's recursion and never builds
-   the parse tree.  A steady-state [run] allocates nothing on a
-   race-free program (recording a race pushes a report record);
-   [regress --alloc-gate --e2e] pins this. *)
+   shadow cells, rewound in place by [run].  The walk reports the
+   program's serial execution to Sp_stream — the construction the
+   ingestion server drives from frames — and builds no parse tree.  A
+   steady-state [run] allocates nothing on a race-free program
+   (recording a race pushes a report record); [regress --alloc-gate
+   --ingest] pins this. *)
 module Fused = struct
-  module Om = Spr_om.Om_fused
+  module Sp = Spr_core.Sp_stream
 
-  type t = {
-    program : Fj_program.t;
-    om : Om.t;
-    handles : Om.elt array;  (* tid -> the thread's fused element *)
-    det : Detector.t;
-  }
+  type t = { program : Fj_program.t; sp : Sp.t; det : Detector.t }
 
   let create program =
-    let om = Om.create () in
-    let handles = Array.make (Fj_program.thread_count program) (-1) in
-    let precedes ~executed ~current = Om.sp_precedes om handles.(executed) handles.(current) in
-    let det = Detector.create ~locs:(Detector.max_loc program + 1) ~precedes () in
-    { program; om; handles; det }
-
-  (* One thread at its leaf element: pin it as the later operand of
-     every query its accesses make (Detector.run_thread's sink/metrics
-     bookkeeping is dead weight here). *)
-  let thread t e (u : Fj_program.thread) =
-    t.handles.(u.tid) <- e;
-    Om.pin t.om e;
-    let accs = u.accesses in
-    for i = 0 to Array.length accs - 1 do
-      Detector.access t.det ~current:u.tid accs.(i)
-    done
+    let sp = Sp.create () in
+    let det =
+      Detector.create ~locs:(Detector.max_loc program + 1) ~precedes:(Sp.precedes sp) ()
+    in
+    { program; sp; det }
 
   (* Top-level recursion with explicit arguments — nested closures
-     would allocate on every run.  [e] is the element of the subtree's
-     root; each Enter is the canonical shape's: S(block, rest) for a
-     block that is not the last, S(thread, rest) for a [Run] that is
-     not the last item, P(child, rest) for a [Spawn]. *)
-  let rec proc t e (p : Fj_program.proc) = blocks t e p.blocks 0
+     would allocate on every run.  The events are the frames
+     [Codec.encode_program] emits: a sync between consecutive blocks,
+     a spawn and a return around each child. *)
+  let rec proc t (p : Fj_program.proc) = blocks t p.blocks 0
 
-  and blocks t e bs bi =
-    if bi = Array.length bs - 1 then items t e bs.(bi) 0
-    else begin
-      let lr = Om.insert_children_packed t.om e ~parallel:false in
-      items t (Om.packed_left lr) bs.(bi) 0;
-      blocks t (Om.packed_right lr) bs (bi + 1)
+  and blocks t bs bi =
+    if bi < Array.length bs then begin
+      if bi > 0 then Sp.sync t.sp;
+      items t bs.(bi) 0;
+      blocks t bs (bi + 1)
     end
 
-  and items t e blk i =
-    (* Past the end only after a trailing [Spawn]: a synthetic leaf. *)
-    if i < Array.length blk then
-      match blk.(i) with
-      | Fj_program.Run u when i = Array.length blk - 1 -> thread t e u
+  and items t blk i =
+    if i < Array.length blk then begin
+      (match blk.(i) with
       | Fj_program.Run u ->
-          let lr = Om.insert_children_packed t.om e ~parallel:false in
-          thread t (Om.packed_left lr) u;
-          items t (Om.packed_right lr) blk (i + 1)
+          (* Detector.run_thread's sink/metrics bookkeeping is dead
+             weight here. *)
+          Sp.thread t.sp u.tid;
+          let accs = u.accesses in
+          for j = 0 to Array.length accs - 1 do
+            Detector.access t.det ~current:u.tid accs.(j)
+          done
       | Fj_program.Spawn f ->
-          let lr = Om.insert_children_packed t.om e ~parallel:true in
-          proc t (Om.packed_left lr) f;
-          items t (Om.packed_right lr) blk (i + 1)
+          Sp.spawn t.sp;
+          proc t f;
+          Sp.return_ t.sp);
+      items t blk (i + 1)
+    end
 
   let run t =
-    Om.reset t.om;
+    Sp.reset t.sp ~threads:(Fj_program.thread_count t.program);
     Detector.reset t.det;
-    proc t (Om.base t.om) (Fj_program.main t.program)
+    proc t (Fj_program.main t.program)
 
   let detector t = t.det
 
-  let om t = t.om
+  let om t = Sp.om t.sp
 
   let result t =
     {

@@ -41,14 +41,15 @@ val detect_serial_releasing : Spr_prog.Prog_tree.t -> releasing_result
 (** The fully packed serial pipeline: fused English/Hebrew SP-order
     ({!Spr_om.Om_fused}) + packed shadow cells, created once and
     rewound in place per run.  {!Fused.run} walks the program's own
-    recursion and splices each node's children after its parent's
-    element in the canonical {!Spr_prog.Prog_tree} shape, so its OM
-    work is that of SP-order on the canonical parse tree, and no tree
-    is built.  Each thread's element is pinned while its accesses run.
+    recursion and reports its serial execution to
+    {!Spr_core.Sp_stream}, the construction the ingestion [Server]
+    drives from trace frames (its header documents the shape), so its
+    OM work equals the server's on the program's trace, and no tree is
+    built.  Each thread's element is pinned while its accesses run.
     A steady-state {!Fused.run} — replay the fork/join walk, issue
     every access and SP query — allocates zero minor words on a
     race-free program (recording a race allocates its report);
-    [regress --alloc-gate --e2e] pins this, and the test suite pins
+    [regress --alloc-gate --ingest] pins this, and the test suite pins
     answer equality with {!detect_serial}. *)
 module Fused : sig
   type t

@@ -225,16 +225,16 @@ let deep_nesting () =
         ])
 
 (* ------------------------------------------------------------------ *)
-(* 4c. The streaming construction's OM work, and each of its cases.    *)
+(* 4c. The SP-order construction's OM work, and each of its cases.     *)
 
-(* The fused order's size after the server ingests [p], counted from the
-   program: the base, two elements per spawn (its P-node's children),
-   one per block that spawns (the block's continuation), and one per
-   thread that does not open a fresh context — a thread takes the
-   element it runs at when nothing has run there yet: at the start of a
-   procedure, after a RETURN, and after a SYNC that ends a spawning
-   block.  [item] and [block] return whether the next item's context is
-   fresh. *)
+(* The fused order's size after a walk of [p] through Sp_stream,
+   counted from the program: the base, two elements per spawn (its
+   P-node's children), one per block that spawns (the block's
+   continuation), and one per thread that does not open a fresh
+   context — a thread takes the element it runs at when nothing has
+   run there yet: at the start of a procedure, after a RETURN, and
+   after a SYNC that ends a spawning block.  [item] and [block] return
+   whether the next item's context is fresh. *)
 let om_elements p =
   let n = ref 1 in
   let rec proc (pr : Fj.proc) = ignore (Array.fold_left block true pr.Fj.blocks)
@@ -255,10 +255,31 @@ let om_elements p =
   proc (Fj.main p);
   !n
 
+let stats_repr (s : Spr_om.Om_intf.stats) =
+  Printf.sprintf "inserts=%d passes=%d moved=%d max_range=%d" s.inserts s.relabel_passes
+    s.items_moved s.max_range
+
+(* [srv] has just ingested [p]'s trace.  Both detectors drive the one
+   construction in Sp_stream, so Drivers.Fused on [p] must leave an OM
+   of the same size and the same per-plane relabel counters as the
+   server, and the size must be [p]'s own count. *)
 let check_om_work ctx srv p =
   let om = Server.om srv in
+  let f = Drivers.Fused.create p in
+  Drivers.Fused.run f;
+  let fom = Drivers.Fused.om f in
   Spr_om.Om_fused.check_invariants om;
-  Alcotest.(check int) (ctx ^ ": OM elements") (om_elements p) (Spr_om.Om_fused.size om)
+  Spr_om.Om_fused.check_invariants fom;
+  Alcotest.(check int) (ctx ^ ": OM elements") (om_elements p) (Spr_om.Om_fused.size om);
+  Alcotest.(check int) (ctx ^ ": Fused OM elements") (om_elements p) (Spr_om.Om_fused.size fom);
+  Alcotest.(check string)
+    (ctx ^ ": Fused English relabels")
+    (stats_repr (Spr_om.Om_fused.stats_eng om))
+    (stats_repr (Spr_om.Om_fused.stats_eng fom));
+  Alcotest.(check string)
+    (ctx ^ ": Fused Hebrew relabels")
+    (stats_repr (Spr_om.Om_fused.stats_heb om))
+    (stats_repr (Spr_om.Om_fused.stats_heb fom))
 
 let om_work_registry () =
   with_server (fun srv ->
@@ -267,7 +288,16 @@ let om_work_registry () =
           let p = (Option.get (W.find_opt name)) ~size:(size_for name) ~seed:3 in
           ignore (run_one ~ctx:name srv (Codec.capture [ p ]));
           check_om_work name srv p)
-        W.names)
+        W.names;
+      (* Large enough that both planes relabel, so the counters compare
+         real passes, not zeros. *)
+      let p = W.random_prog ~rng:(Rng.create 7) ~threads:4000 ~spawn_prob:0.5 ~locs:8 () in
+      ignore (run_one ~ctx:"random 4000 threads" srv (Codec.capture [ p ]));
+      check_om_work "random 4000 threads" srv p;
+      let om = Server.om srv in
+      Alcotest.(check bool) "both planes relabeled" true
+        ((Spr_om.Om_fused.stats_eng om).relabel_passes > 0
+        && (Spr_om.Om_fused.stats_heb om).relabel_passes > 0))
 
 let om_work_random =
   let srv = Server.create () in

@@ -322,56 +322,6 @@ let fused_rerun_deterministic () =
         "matches boxed" boxed.Spr_race.Drivers.racy_locs first.Spr_race.Drivers.racy_locs)
     [ false; true ]
 
-(* The fused walk splices children straight from the program, with no
-   parse tree: its OM work must be SP-order's on the canonical
-   Prog_tree — one element per tree node, and per-plane relabel
-   counters bit-identical to Sp_order_fused driven by the tree's own
-   event walk. *)
-let fused_om p =
-  let f = Spr_race.Drivers.Fused.create p in
-  Spr_race.Drivers.Fused.run f;
-  Spr_race.Drivers.Fused.om f
-
-let fused_om_work p =
-  let om = fused_om p in
-  let tree = Prog_tree.tree (Prog_tree.of_program p) in
-  let sp = Spr_core.Sp_order_fused.create tree in
-  Spr_sptree.Sp_tree.iter_events tree (Spr_core.Sp_order_fused.on_event sp);
-  let want = Spr_core.Sp_order_fused.om sp in
-  Spr_om.Om_fused.check_invariants om;
-  Spr_om.Om_fused.size om = Spr_sptree.Sp_tree.node_count tree
-  && Spr_om.Om_fused.stats_eng om = Spr_om.Om_fused.stats_eng want
-  && Spr_om.Om_fused.stats_heb om = Spr_om.Om_fused.stats_heb want
-
-let fused_om_work_random =
-  QCheck2.Test.make ~count:300 ~name:"fused walk OM work = canonical tree walk (random)"
-    QCheck2.Gen.(pair (0 -- 1_000_000) (2 -- 60))
-    (fun (seed, threads) ->
-      fused_om_work
-        (W.random_prog ~rng:(Rng.create seed) ~threads ~spawn_prob:0.5 ~locs:8
-           ~accesses_per_thread:4 ()))
-
-let fused_om_work_workloads () =
-  let size = function "fib" -> 8 | "matmul" | "matmul-buggy" -> 4 | _ -> 24 in
-  List.iter
-    (fun name ->
-      let gen = Option.get (W.find_opt name) in
-      for seed = 1 to 3 do
-        Alcotest.(check bool)
-          (Printf.sprintf "%s seed %d" name seed)
-          true
-          (fused_om_work (gen ~size:(size name) ~seed))
-      done)
-    W.names;
-  (* Large enough that both planes relabel, so the counters compare
-     real passes, not zeros. *)
-  let p = W.random_prog ~rng:(Rng.create 7) ~threads:4000 ~spawn_prob:0.5 ~locs:8 () in
-  Alcotest.(check bool) "random 4000 threads" true (fused_om_work p);
-  let om = fused_om p in
-  Alcotest.(check bool) "both planes relabeled" true
-    ((Spr_om.Om_fused.stats_eng om).relabel_passes > 0
-    && (Spr_om.Om_fused.stats_heb om).relabel_passes > 0)
-
 (* Corollary 6 bookkeeping: O(1) queries per access. *)
 let query_budget () =
   let p = W.dc_sum ~leaves:64 () in
@@ -396,8 +346,6 @@ let () =
           Alcotest.test_case "release protocol" `Quick releasing_matches_plain;
           Alcotest.test_case "fused pipeline rerun determinism" `Quick fused_rerun_deterministic;
           QCheck_alcotest.to_alcotest fused_matches_serial;
-          Alcotest.test_case "fused walk OM work (workloads)" `Quick fused_om_work_workloads;
-          QCheck_alcotest.to_alcotest fused_om_work_random;
           QCheck_alcotest.to_alcotest random_serial_matches_naive;
           QCheck_alcotest.to_alcotest releasing_matches_naive;
         ] );
