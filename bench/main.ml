@@ -27,7 +27,7 @@ let experiments =
     ("fig11-12", "Subtrace split structure", Exp_traces.run);
     ("ablation", "Design-choice ablations (OM backend, path compression)", Exp_ablation.run);
     ("ingest", "Streaming trace-ingestion service throughput", Exp_ingest.run);
-    ("hb", "Vector/tree-clock baselines vs sp-order-fused", Exp_hb.run);
+    ("hb", "Vector-clock baseline vs sp-order-fused", Exp_hb.run);
     ("bechamel", "Bechamel micro-benchmarks (one per experiment)", Bechamel_suite.run);
   ]
 

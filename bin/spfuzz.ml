@@ -93,12 +93,12 @@ let config ~seed ~iters ~max_threads ~schedules ~algo ~inject ~quiet ~sink =
         ( algos,
           F.default_om_suts
           @ [ ("om-broken-insert-before", Spr_check.Faulty.om_broken_insert_before) ] )
-    | `None | `Om_unvalidated | `Hb_vec_nojoin | `Hb_tree_norestore -> (algos, F.default_om_suts)
+    | `None | `Om_unvalidated | `Hb_vec_nojoin | `Hb_vec_norestore -> (algos, F.default_om_suts)
   in
   let hb_algos =
     match inject with
     | `Hb_vec_nojoin -> F.default_hb_algos @ [ Spr_check.Faulty.hb_vector_no_join ]
-    | `Hb_tree_norestore -> F.default_hb_algos @ [ Spr_check.Faulty.hb_tree_no_restore ]
+    | `Hb_vec_norestore -> F.default_hb_algos @ [ Spr_check.Faulty.hb_vector_no_restore ]
     | _ -> F.default_hb_algos
   in
   (* Cross-validation pairs only make sense when both members run:
@@ -303,7 +303,7 @@ let run mode seed iters max_threads schedules algo inject sched depth smoke quie
     | "om-before-after" -> `Om_before_after
     | "om-unvalidated" -> `Om_unvalidated
     | "hb-vec-nojoin" -> `Hb_vec_nojoin
-    | "hb-tree-norestore" -> `Hb_tree_norestore
+    | "hb-vec-norestore" -> `Hb_vec_norestore
     | other ->
         usage_error "fault" other
           [
@@ -312,7 +312,7 @@ let run mode seed iters max_threads schedules algo inject sched depth smoke quie
             "om-before-after";
             "om-unvalidated";
             "hb-vec-nojoin";
-            "hb-tree-norestore";
+            "hb-vec-norestore";
           ]
   in
   match sched with
@@ -374,7 +374,7 @@ let run mode seed iters max_threads schedules algo inject sched depth smoke quie
     | Some "json" -> print_endline (Spr_obs.Json.to_string (Spr_obs.Metrics.to_json metrics))
     | fmt ->
         Printf.printf
-          "spfuzz: OK — %d program iterations (%d maintainers + %d cross-checks), %d HB triples (%d clock oracles vs sp-order-fused), %d script iterations (%d OM structures + %d cross-checks), 0 divergences\n"
+          "spfuzz: OK — %d program iterations (%d maintainers + %d cross-checks), %d HB triples (%d independent oracles vs sp-order-fused), %d script iterations (%d OM structures + %d cross-checks), 0 divergences\n"
           !sp_checked (List.length cfg.F.algos)
           (List.length cfg.F.sp_pairs)
           !hb_checked
@@ -388,7 +388,7 @@ let run mode seed iters max_threads schedules algo inject sched depth smoke quie
 let mode_arg =
   let doc =
     "What to fuzz: sp (maintainers), hb (three-way differential race oracle: sp-order-fused vs \
-     vector clocks vs tree clocks), om (order maintenance), all."
+     vector clocks vs DePa fork-path labels), om (order maintenance), all."
   in
   Arg.(
     value
@@ -430,8 +430,8 @@ let inject_arg =
     "Plant a known bug and expect the fuzzer to catch it: none, bags-flip (SP-bags with the \
      bag-kind comparison flipped), om-before-after (OM insert_before aliased to insert_after), \
      om-unvalidated (concurrent OM query without the read-validation loop; needs --sched), \
-     hb-vec-nojoin (vector clocks that skip the join at procedure exit), hb-tree-norestore \
-     (tree clocks that skip the snapshot restore after a spawn)."
+     hb-vec-nojoin (vector clocks that skip the join at procedure exit), hb-vec-norestore \
+     (vector clocks that skip the snapshot restore after a spawn)."
   in
   Arg.(value & opt string "none" & info [ "inject-fault" ] ~docv:"FAULT" ~doc)
 

@@ -73,18 +73,14 @@ let capture_cmd =
 let parse_oracle = function
   | "sp-order-fused" -> Server.Sp_fused
   | "hb-vector" -> Server.Hb_vector
-  | "hb-tree" -> Server.Hb_tree
-  | s ->
-      raise
-        (Usage
-           (Printf.sprintf "unknown oracle %S (valid: sp-order-fused, hb-vector, hb-tree)" s))
+  | s -> raise (Usage (Printf.sprintf "unknown oracle %S (valid: sp-order-fused, hb-vector)" s))
 
 let run_cmd_run files shards batch oracle =
   with_usage @@ fun () ->
   if files = [] then raise (Usage "run needs at least one trace file");
   let oracle = parse_oracle oracle in
   if oracle <> Server.Sp_fused && shards > 1 then
-    raise (Usage "clock oracles (hb-vector, hb-tree) require --shards 1");
+    raise (Usage "the hb-vector oracle requires --shards 1");
   let srv =
     try Server.create ~shards ~batch ~oracle ()
     with Invalid_argument msg -> raise (Usage msg)
@@ -117,7 +113,7 @@ let run_cmd =
       value
       & opt string "sp-order-fused"
       & info [ "oracle" ] ~docv:"NAME"
-          ~doc:"SP oracle: sp-order-fused (default), hb-vector or hb-tree.")
+          ~doc:"SP oracle: sp-order-fused (default) or hb-vector.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Ingest trace files through a resident detector server")

@@ -62,9 +62,9 @@ let hb_vector_no_join : Sp_check.algo =
         ( (module Spr_hb.Sp_clock.Vector_no_join),
           Spr_hb.Sp_clock.Vector_no_join.create tree ) )
 
-let hb_tree_no_restore : Sp_check.algo =
-  ( "hb-tree-norestore",
+let hb_vector_no_restore : Sp_check.algo =
+  ( "hb-vector-norestore",
     fun tree ->
       Spr_core.Sp_maintainer.Instance
-        ( (module Spr_hb.Sp_clock.Tree_no_restore),
-          Spr_hb.Sp_clock.Tree_no_restore.create tree ) )
+        ( (module Spr_hb.Sp_clock.Vector_no_restore),
+          Spr_hb.Sp_clock.Vector_no_restore.create tree ) )

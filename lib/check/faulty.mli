@@ -31,8 +31,8 @@ val hb_vector_no_join : Sp_check.algo
     programs.  Caught by the three-way differential the moment a
     spawned procedure's effects matter. *)
 
-val hb_tree_no_restore : Sp_check.algo
-(** The tree-clock detector with the snapshot restore at every [Mid]
+val hb_vector_no_restore : Sp_check.algo
+(** The vector-clock detector with the snapshot restore at every [Mid]
     skipped: the right subtree inherits the left subtree's clock, so
     genuinely parallel accesses look ordered — false negatives on
     planted races.  The dual failure mode to [hb_vector_no_join]. *)

@@ -61,14 +61,15 @@ let default_sp_pairs =
       ("sp-order", Spr_core.Algorithms.sp_order) );
   ]
 
-(* The clock detectors compared against the fused baseline by the
-   three-way race differential ([run_hb]): each one replaces the SP
-   oracle under the *same* detection pipeline, so any disagreement in
-   races, racy locations or query counts is an oracle bug. *)
+(* The independent voters compared against the fused baseline by the
+   three-way race differential ([run_hb]): vector clocks and DePa's
+   fork-path labels.  Each one replaces the SP oracle under the *same*
+   detection pipeline, so any disagreement in races, racy locations or
+   query counts is an oracle bug. *)
 let default_hb_algos : Sp_check.algo list =
   [
     ("hb-vector", Spr_core.Algorithms.hb_vector);
-    ("hb-tree", Spr_core.Algorithms.hb_tree);
+    ("sp-depa", Spr_core.Algorithms.sp_depa);
   ]
 
 let default ~seed ~iters =

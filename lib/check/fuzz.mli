@@ -17,7 +17,7 @@ type config = {
       (** maintainer cross-validation pairs run through
           {!Sp_check.check_pair} on every generated program *)
   hb_algos : Sp_check.algo list;
-      (** clock detectors for the three-way race differential
+      (** independent voters for the three-way race differential
           ({!run_hb}): each replaces the SP oracle inside
           {!Spr_race.Drivers.detect_serial} and its full output is
           compared against the sp-order-fused baseline *)
@@ -49,9 +49,9 @@ val default_sp_pairs : (Sp_check.algo * Sp_check.algo) list
     the same walk. *)
 
 val default_hb_algos : Sp_check.algo list
-(** The two clock detectors — [hb-vector] ({!Spr_hb.Vec_clock}) and
-    [hb-tree] ({!Spr_hb.Tree_clock}) — compared against the
-    [sp-order-fused] baseline by {!run_hb}. *)
+(** The two independent voters — the vector-clock detector [hb-vector]
+    ({!Spr_hb.Vec_clock}) and DePa's fork-path labels [sp-depa] —
+    compared against the [sp-order-fused] baseline by {!run_hb}. *)
 
 val default : seed:int -> iters:int -> config
 (** All maintainers ({!Spr_core.Algorithms.all}), the [sp-depa] vs
@@ -103,7 +103,7 @@ val run_hb : config -> hb_failure option
     shared-memory accesses and pushed through
     {!Spr_race.Drivers.detect_serial} once per oracle — the
     [sp-order-fused] baseline plus every entry of [hb_algos] (vector
-    clocks and tree clocks by default).  Race reports (in order), racy
+    clocks and DePa labels by default).  Race reports (in order), racy
     locations and SP query counts must all be identical; the first
     divergence is shrunk (over the spec, with the decoration held
     fixed as a function of the seed) and returned. *)

@@ -35,15 +35,12 @@ let sp_order_fused tree =
 
 let lca_reference tree = Sp_maintainer.Instance ((module Sp_naive), Sp_naive.create tree)
 
-(* The modern competition (ROADMAP item 1): happens-before clock
-   detectors from lib/hb.  The maintainer modules live below this
-   library and match {!Sp_maintainer.S} structurally; packing them
-   here is where the signature is actually checked. *)
+(* The modern competition: the vector-clock happens-before detector
+   from lib/hb.  Its maintainer module lives below this library and
+   matches {!Sp_maintainer.S} structurally; packing it here is where
+   the signature is actually checked. *)
 let hb_vector tree =
   Sp_maintainer.Instance ((module Spr_hb.Sp_clock.Vector), Spr_hb.Sp_clock.Vector.create tree)
-
-let hb_tree tree =
-  Sp_maintainer.Instance ((module Spr_hb.Sp_clock.Tree), Spr_hb.Sp_clock.Tree.create tree)
 
 let figure3 =
   [
@@ -59,7 +56,6 @@ let figure3_modern =
       ("sp-depa", sp_depa);
       ("sp-order-fused", sp_order_fused);
       ("hb-vector", hb_vector);
-      ("hb-tree", hb_tree);
     ]
 
 let all =
@@ -68,7 +64,6 @@ let all =
       ("sp-depa", sp_depa);
       ("sp-order-fused", sp_order_fused);
       ("hb-vector", hb_vector);
-      ("hb-tree", hb_tree);
       ("sp-order-packed", sp_order_packed);
       ("sp-order-implicit", sp_order_implicit);
       ("sp-bags-norank", sp_bags_no_compression);

@@ -42,11 +42,6 @@ val hb_vector : Spr_sptree.Sp_tree.t -> Sp_maintainer.instance
     competitor SP-order's O(1)-per-operation labels are measured
     against. *)
 
-val hb_tree : Spr_sptree.Sp_tree.t -> Sp_maintainer.instance
-(** Tree-clock happens-before detector ({!Spr_hb.Sp_clock.Tree}):
-    joins cost O(updated subtree) instead of Θ(width)
-    ({!Spr_hb.Tree_clock}). *)
-
 val all : (string * (Spr_sptree.Sp_tree.t -> Sp_maintainer.instance)) list
 (** The four algorithms of Figure 3, in the paper's order, plus the
     modern DePa labeling, the reference oracle and the ablation

@@ -1,6 +1,4 @@
-(* Happens-before maintainers over the clock engines.
-
-   [Make] turns a {!Clock_intf.ENGINE} into a serial SP-maintenance
+(* The vector-clock happens-before maintainer, a serial SP-maintenance
    algorithm (structurally matching [Spr_core.Sp_maintainer.S] — this
    library sits below [spr_core], so the signature cannot be named
    here).  The walk keeps exactly one active clock:
@@ -16,7 +14,7 @@
 
    Threads tick a fresh slot each (every leaf executes exactly once in
    this IR, so epochs are all 1 and queries degenerate to presence
-   checks — the engines implement general epochs anyway, for the
+   checks — {!Vec_clock} implements general epochs anyway, for the
    futures extension).  [precedes x y] with [y] the currently
    executing thread is then one [get]: x's slot is in the active clock
    iff x happened before the current thread.
@@ -26,11 +24,11 @@
 
 module Sp_tree = Spr_sptree.Sp_tree
 
-module Make (E : Clock_intf.ENGINE) = struct
+module Vector = struct
   type t = {
-    eng : E.t;
-    mutable cur : E.clock;
-    stack : E.clock Spr_util.Vec.t;
+    eng : Vec_clock.t;
+    mutable cur : Vec_clock.clock;
+    stack : Vec_clock.clock Spr_util.Vec.t;
     slot_of : int array;  (* leaf id -> clock slot, -1 until executed *)
     epoch_of : int array;
     mutable next_slot : int;
@@ -43,14 +41,14 @@ module Make (E : Clock_intf.ENGINE) = struct
     no_restore : bool;
   }
 
-  let name = "hb-" ^ E.name
+  let name = "hb-vector"
 
   let make ~no_join ~no_restore tree =
     let n = Sp_tree.node_count tree in
-    let eng = E.create () in
+    let eng = Vec_clock.create () in
     {
       eng;
-      cur = E.alloc eng;
+      cur = Vec_clock.alloc eng;
       stack = Spr_util.Vec.create ();
       slot_of = Array.make (max 1 n) (-1);
       epoch_of = Array.make (max 1 n) 0;
@@ -70,7 +68,7 @@ module Make (E : Clock_intf.ENGINE) = struct
     | Enter x ->
         (match Sp_tree.kind x with
         | Series -> ()
-        | Parallel -> Spr_util.Vec.push t.stack (E.snapshot t.eng t.cur))
+        | Parallel -> Spr_util.Vec.push t.stack (Vec_clock.snapshot t.eng t.cur))
     | Mid x ->
         (match Sp_tree.kind x with
         | Series -> ()
@@ -88,24 +86,24 @@ module Make (E : Clock_intf.ENGINE) = struct
         | Parallel -> (
             match Spr_util.Vec.pop t.stack with
             | Some left ->
-                if not t.no_join then E.join t.eng ~into:t.cur left;
-                E.release t.eng left
+                if not t.no_join then Vec_clock.join t.eng ~into:t.cur left;
+                Vec_clock.release t.eng left
             | None -> unbalanced ()))
     | Thread u ->
         let slot = t.next_slot in
         t.next_slot <- slot + 1;
-        let e = E.tick t.eng t.cur slot in
+        let e = Vec_clock.tick t.cur slot in
         t.slot_of.(u.Sp_tree.id) <- slot;
         t.epoch_of.(u.Sp_tree.id) <- e;
         t.threads <- t.threads + 1;
-        t.sum_words <- t.sum_words + E.live_words t.cur
+        t.sum_words <- t.sum_words + Vec_clock.live_words t.cur
 
   let precedes t (x : Sp_tree.node) (y : Sp_tree.node) =
     (not (x == y))
     &&
     let sx = t.slot_of.(x.Sp_tree.id) in
     if sx < 0 then invalid_arg (name ^ ".precedes: operand has not executed");
-    E.get t.cur sx >= t.epoch_of.(x.Sp_tree.id)
+    Vec_clock.get t.cur sx >= t.epoch_of.(x.Sp_tree.id)
 
   let parallel t x y = (not (x == y)) && not (precedes t x y)
 
@@ -119,22 +117,18 @@ module Make (E : Clock_intf.ENGINE) = struct
     if t.threads = 0 then 0.0 else float_of_int t.sum_words /. float_of_int t.threads
 
   (* Counter taps for the EXP-HB bench (not part of the maintainer
-     signature; reached by calling the functor output directly). *)
-  let copied_words t = E.copied_words t.eng
+     signature; reached by calling [Vector] directly). *)
+  let copied_words t = Vec_clock.copied_words t.eng
 
-  let joined_words t = E.joined_words t.eng
+  let joined_words t = Vec_clock.joined_words t.eng
 end
 
-module Vector = Make (Vec_clock)
-module Tree = Make (Tree_clock)
-
-(* Deliberately broken variants, one per engine, for proving the
-   three-way differential oracle actually discriminates (see ISSUE-10
-   satellite 3).  [No_join] forgets the Exit join: threads after a
-   join look parallel to the joined branch — false positives on
-   race-free programs.  [No_restore] leaks the left branch's clock
-   into the right branch: siblings look ordered — false negatives on
-   planted races. *)
+(* Deliberately broken variants for proving the three-way differential
+   oracle actually discriminates.  [Vector_no_join] forgets the Exit
+   join: threads after a join look parallel to the joined branch —
+   false positives on race-free programs.  [Vector_no_restore] leaks
+   the left branch's clock into the right branch: siblings look
+   ordered — false negatives on planted races. *)
 module Vector_no_join = struct
   include Vector
 
@@ -143,10 +137,10 @@ module Vector_no_join = struct
   let create tree = make ~no_join:true ~no_restore:false tree
 end
 
-module Tree_no_restore = struct
-  include Tree
+module Vector_no_restore = struct
+  include Vector
 
-  let name = "hb-tree-norestore"
+  let name = "hb-vector-norestore"
 
   let create tree = make ~no_join:false ~no_restore:true tree
 end

@@ -1,9 +1,8 @@
-(* Clock oracles over the `.spr-trace` frame stream.
+(* A vector clock over the `.spr-trace` frame stream.
 
-   The ingest server normally maintains SP relationships by unfolding
-   the SP parse tree it reconstructs from frames; the clock oracles
-   skip the tree entirely and track happens-before directly on the
-   fork-join frame structure:
+   The ingest server normally answers SP queries from the fused
+   English/Hebrew order; this oracle skips the order entirely and
+   tracks happens-before directly on the fork-join frame structure:
 
    - SPAWN   saves a snapshot of the active clock (the continuation's
              view) and lets the child run on the active clock;
@@ -16,167 +15,108 @@
    - THREAD  ticks a fresh slot for the executing thread and records
              its epoch.
 
-   Verdict equivalence with the SP-tree path is checked byte-for-byte
-   by the cram tests and the differential fuzzer.
-
-   Strand discipline: whenever a snapshot is restored (or a program /
-   child strand begins), a fresh anonymous slot is ticked before the
-   clock can receive joins.  The tree engine needs this for its
-   single-writer invariant (only the lineage owning a slot as root may
-   advance it); the vector engine tolerates the extra slots at a small
-   constant width factor, so both engines share the discipline and the
-   vector width is O(strands) = O(threads + spawns). *)
+   Only threads own slots, so the vector width is at most the thread
+   count.  Verdict equivalence with the SP-order path is checked by
+   the cram tests and the ingest tests. *)
 
 type t = {
-  name : string;
-  reset : unit -> unit;
-  spawn : unit -> unit;
-  return_ : unit -> unit;
-  sync : unit -> unit;
-  thread : int -> unit;
-  precedes : executed:int -> current:int -> bool;
-  words : unit -> int * int;  (* copied, joined — cumulative *)
+  eng : Vec_clock.t;
+  mutable cur : Vec_clock.clock;
+  mutable depth : int;
+  mutable snaps : Vec_clock.clock option array;  (* by parent depth *)
+  mutable pending : Vec_clock.clock option array;  (* by proc depth *)
+  mutable slot_of : int array;  (* tid -> slot, -1 until it runs *)
+  mutable epoch_of : int array;
+  mutable next_slot : int;
 }
 
-module Make (E : Clock_intf.ENGINE) = struct
-  type state = {
-    eng : E.t;
-    mutable cur : E.clock;
-    mutable depth : int;
-    mutable snaps : E.clock option array;  (* by parent depth *)
-    mutable pending : E.clock option array;  (* by proc depth *)
-    mutable slot_of : int array;  (* tid -> slot, -1 *)
-    mutable epoch_of : int array;
-    mutable next_slot : int;
-    mutable max_tid : int;
+let create () =
+  let eng = Vec_clock.create () in
+  {
+    eng;
+    cur = Vec_clock.alloc eng;
+    depth = 0;
+    snaps = Array.make 16 None;
+    pending = Array.make 16 None;
+    slot_of = Array.make 64 (-1);
+    epoch_of = Array.make 64 0;
+    next_slot = 0;
   }
 
-  let grow_depth s d =
-    if d >= Array.length s.snaps then begin
-      let n = max 16 (max (d + 1) (2 * Array.length s.snaps)) in
-      let g a = Array.append a (Array.make (n - Array.length a) None) in
-      s.snaps <- g s.snaps;
-      s.pending <- g s.pending
-    end
+let grow_depth t d =
+  if d >= Array.length t.snaps then begin
+    let n = max 16 (max (d + 1) (2 * Array.length t.snaps)) in
+    let g a = Array.append a (Array.make (n - Array.length a) None) in
+    t.snaps <- g t.snaps;
+    t.pending <- g t.pending
+  end
 
-  let grow_tid s tid =
-    if tid >= Array.length s.slot_of then begin
-      let n = max 16 (max (tid + 1) (2 * Array.length s.slot_of)) in
-      let g a = Array.append a (Array.make (n - Array.length a) (-1)) in
-      s.slot_of <- g s.slot_of;
-      s.epoch_of <- g s.epoch_of
-    end
+let release_opt t a i =
+  match a.(i) with
+  | Some c ->
+      Vec_clock.release t.eng c;
+      a.(i) <- None
+  | None -> ()
 
-  let fresh_slot s =
-    let slot = s.next_slot in
-    s.next_slot <- slot + 1;
-    slot
+let reset t ~threads =
+  Vec_clock.release t.eng t.cur;
+  for i = 0 to Array.length t.snaps - 1 do
+    release_opt t t.snaps i;
+    release_opt t t.pending i
+  done;
+  if threads > Array.length t.slot_of then begin
+    t.slot_of <- Array.make (2 * threads) (-1);
+    t.epoch_of <- Array.make (2 * threads) 0
+  end
+  else Array.fill t.slot_of 0 threads (-1);
+  t.next_slot <- 0;
+  t.depth <- 0;
+  t.cur <- Vec_clock.alloc t.eng
 
-  let strand_tick s = ignore (E.tick s.eng s.cur (fresh_slot s))
+let thread t tid =
+  let slot = t.next_slot in
+  t.next_slot <- slot + 1;
+  t.slot_of.(tid) <- slot;
+  t.epoch_of.(tid) <- Vec_clock.tick t.cur slot
 
-  let release_opt s a i =
-    match a.(i) with
-    | Some c ->
-        E.release s.eng c;
-        a.(i) <- None
-    | None -> ()
+let spawn t =
+  grow_depth t (t.depth + 1);
+  t.snaps.(t.depth) <- Some (Vec_clock.snapshot t.eng t.cur);
+  (* A proc's pending set is consumed by its RETURN, so the slot at
+     the child's depth is necessarily free here. *)
+  t.depth <- t.depth + 1
 
-  let reset s =
-    E.release s.eng s.cur;
-    for i = 0 to Array.length s.snaps - 1 do
-      release_opt s s.snaps i;
-      release_opt s s.pending i
-    done;
-    if s.max_tid >= 0 then Array.fill s.slot_of 0 (min (Array.length s.slot_of) (s.max_tid + 1)) (-1);
-    s.max_tid <- (-1);
-    s.next_slot <- 0;
-    s.depth <- 0;
-    s.cur <- E.alloc s.eng;
-    strand_tick s
+let sync t =
+  match t.pending.(t.depth) with
+  | None -> ()
+  | Some p ->
+      Vec_clock.join t.eng ~into:t.cur p;
+      Vec_clock.release t.eng p;
+      t.pending.(t.depth) <- None
 
-  let spawn s =
-    grow_depth s (s.depth + 1);
-    s.snaps.(s.depth) <- Some (E.snapshot s.eng s.cur);
-    s.depth <- s.depth + 1;
-    (* A proc's pending set is consumed by its RETURN, so the slot at
-       the child's depth is necessarily free here. *)
-    strand_tick s
+let return_ t =
+  if t.depth = 0 then invalid_arg "Stream_clock: RETURN at depth 0";
+  (* Implicit sync at proc end: unsynced grandchildren flow into the
+     child's final clock and become joinable at the parent's next
+     SYNC — matching the SP tree, where the parent's sync is serial-
+     after the child's whole subtree. *)
+  sync t;
+  let final = t.cur in
+  t.depth <- t.depth - 1;
+  (match t.pending.(t.depth) with
+  | None -> t.pending.(t.depth) <- Some final  (* steal the buffer *)
+  | Some p ->
+      Vec_clock.join t.eng ~into:p final;
+      Vec_clock.release t.eng final);
+  match t.snaps.(t.depth) with
+  | Some snap ->
+      t.snaps.(t.depth) <- None;
+      t.cur <- snap
+  | None -> invalid_arg "Stream_clock: RETURN without matching SPAWN"
 
-  let sync s =
-    match s.pending.(s.depth) with
-    | None -> ()
-    | Some p ->
-        E.join s.eng ~into:s.cur p;
-        E.release s.eng p;
-        s.pending.(s.depth) <- None
-
-  let return_ s =
-    if s.depth = 0 then invalid_arg "Stream_clock: RETURN at depth 0";
-    (* Implicit sync at proc end: unsynced grandchildren flow into the
-       child's final clock and become joinable at the parent's next
-       SYNC — matching the SP tree, where the parent's sync is serial-
-       after the child's whole subtree. *)
-    sync s;
-    let final = s.cur in
-    s.depth <- s.depth - 1;
-    (match s.pending.(s.depth) with
-    | None -> s.pending.(s.depth) <- Some final  (* steal the buffer *)
-    | Some p ->
-        E.join s.eng ~into:p final;
-        E.release s.eng final);
-    (match s.snaps.(s.depth) with
-    | Some snap ->
-        s.snaps.(s.depth) <- None;
-        s.cur <- snap
-    | None -> invalid_arg "Stream_clock: RETURN without matching SPAWN");
-    strand_tick s
-
-  let thread s tid =
-    grow_tid s tid;
-    if tid > s.max_tid then s.max_tid <- tid;
-    let slot = fresh_slot s in
-    s.slot_of.(tid) <- slot;
-    s.epoch_of.(tid) <- E.tick s.eng s.cur slot
-
-  let precedes s ~executed ~current =
-    if executed = current then true
-    else begin
-      let slot = if executed < Array.length s.slot_of then s.slot_of.(executed) else -1 in
-      if slot < 0 then invalid_arg "Stream_clock.precedes: unknown executed tid";
-      E.get s.cur slot >= s.epoch_of.(executed)
-    end
-
-  let make () =
-    let eng = E.create () in
-    let s =
-      {
-        eng;
-        cur = E.alloc eng;
-        depth = 0;
-        snaps = Array.make 16 None;
-        pending = Array.make 16 None;
-        slot_of = Array.make 64 (-1);
-        epoch_of = Array.make 64 0;
-        next_slot = 0;
-        max_tid = -1;
-      }
-    in
-    strand_tick s;
-    {
-      name = "hb-" ^ E.name;
-      reset = (fun () -> reset s);
-      spawn = (fun () -> spawn s);
-      return_ = (fun () -> return_ s);
-      sync = (fun () -> sync s);
-      thread = (fun tid -> thread s tid);
-      precedes = (fun ~executed ~current -> precedes s ~executed ~current);
-      words = (fun () -> (E.copied_words eng, E.joined_words eng));
-    }
-end
-
-module V = Make (Vec_clock)
-module T = Make (Tree_clock)
-
-let vector () = V.make ()
-
-let tree () = T.make ()
+let precedes t ~executed ~current =
+  executed = current
+  ||
+  let slot = t.slot_of.(executed) in
+  if slot < 0 then invalid_arg "Stream_clock.precedes: executed tid has not run";
+  Vec_clock.get t.cur slot >= t.epoch_of.(executed)

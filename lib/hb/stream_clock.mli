@@ -1,23 +1,32 @@
-(** Happens-before clock oracles over the `.spr-trace` frame stream.
+(** A vector-clock happens-before oracle over the `.spr-trace` frame
+    stream.  It takes the same five walk events as {!Spr_core.Sp_stream},
+    in serial execution order, and answers tid-level precedence from the
+    active clock, so the ingest server can swap it in for the SP-order
+    construction with byte-identical verdicts.  Clocks are pooled. *)
 
-    An oracle tracks the active clock across SPAWN / RETURN / SYNC /
-    THREAD frames and answers tid-level precedence, so the ingest
-    server can swap it in for the SP-tree maintainer; verdicts must
-    stay byte-comparable.  One value per program run is cheap — the
-    closures allocate once, the clocks pool. *)
+type t
 
-type t = {
-  name : string;
-  reset : unit -> unit;  (** rewind for the next program *)
-  spawn : unit -> unit;
-  return_ : unit -> unit;
-  sync : unit -> unit;
-  thread : int -> unit;  (** the given tid executes next *)
-  precedes : executed:int -> current:int -> bool;
-      (** Must only be asked while [current] is the executing tid. *)
-  words : unit -> int * int;  (** (copied, joined) words, cumulative *)
-}
+val create : unit -> t
+(** Call {!reset} before the first program. *)
 
-val vector : unit -> t
+val reset : t -> threads:int -> unit
+(** Rewind for a program whose thread ids lie in [\[0, threads)]: every
+    clock back to the pool, every tid unset (the tables grow only past
+    the largest count seen). *)
 
-val tree : unit -> t
+val thread : t -> int -> unit
+(** [thread t tid]: thread [tid] starts running and ticks a fresh
+    slot.  The caller checks that [tid] is in range and has not run. *)
+
+val spawn : t -> unit
+(** The running procedure spawns a child, which runs next. *)
+
+val return_ : t -> unit
+(** The running child returns to its caller. *)
+
+val sync : t -> unit
+(** The current sync block ends, joining everything it spawned. *)
+
+val precedes : t -> executed:int -> current:int -> bool
+(** [executed] happened before [current].  Must only be asked while
+    [current] is the running thread. *)

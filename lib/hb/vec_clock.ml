@@ -4,9 +4,8 @@
    as 0 and every extension of [len] zeroes exactly the gap it opens.
 
    Fork = snapshot (blit of [len] words), join = pointwise max over
-   the source's [len] words: both Θ(width), which is the cost the
-   EXP-HB crossover measures against the tree engine and against
-   SP-order's O(1)-per-query labels. *)
+   the source's [len] words: both Θ(width), which is the cost EXP-HB
+   measures against SP-order's O(1)-amortized labels. *)
 
 type clock = { mutable a : int array; mutable len : int }
 
@@ -15,8 +14,6 @@ type t = {
   mutable copied_words : int;
   mutable joined_words : int;
 }
-
-let name = "vector"
 
 let create () = { pool = []; copied_words = 0; joined_words = 0 }
 
@@ -48,7 +45,7 @@ let extend c n =
 
 let get c slot = if slot < c.len then c.a.(slot) else 0
 
-let tick _t c slot =
+let tick c slot =
   extend c (slot + 1);
   let e = c.a.(slot) + 1 in
   c.a.(slot) <- e;

@@ -1,18 +1,18 @@
 module V = Spr_util.Varint
 module D = Spr_race.Detector
 module Sp_stream = Spr_core.Sp_stream
+module Stream_clock = Spr_hb.Stream_clock
 module Hook = Spr_schedhook.Hook
 module Sharded = Spr_obs.Sharded
 
 type runner = (unit -> unit) array -> unit
 
 (* Which happens-before oracle answers the detector's SP queries.  The
-   default drives the fused English/Hebrew order; the clock oracles
-   track happens-before directly on the frame structure
-   ({!Spr_hb.Stream_clock}) and exist to pin, byte for byte, that a
-   vector or tree clock reaches the same verdicts through a completely
-   independent code path. *)
-type oracle = Sp_fused | Hb_vector | Hb_tree
+   default drives the fused English/Hebrew order; the vector-clock
+   oracle tracks happens-before directly on the frame structure
+   ({!Spr_hb.Stream_clock}) and exists to pin, byte for byte, that a
+   clock reaches the same verdicts through an independent code path. *)
+type oracle = Sp_fused | Hb_vector
 
 type program_result = {
   index : int;
@@ -45,7 +45,7 @@ type t = {
   shard_arr : Shard.t array;  (* empty when nshards = 1 *)
   tasks : (unit -> unit) array;  (* drain thunks, built once *)
   sp : Sp_stream.t;  (* the SP-order construction the structural frames drive *)
-  clock : Spr_hb.Stream_clock.t option;  (* Some iff a clock oracle *)
+  clock : Stream_clock.t option;  (* Some iff the clock oracle *)
   precedes : executed:int -> current:int -> bool;
   mutable det : D.t;  (* the single-shard detector *)
   mutable det_locs : int;
@@ -89,23 +89,16 @@ let create ?(shards = 1) ?(batch = 8192) ?(oracle = Sp_fused) ?runner () =
   if shards < 1 || shards > 64 then
     invalid_arg "Server.create: shards must be in [1, 64]";
   if batch < 1 then invalid_arg "Server.create: batch must be positive";
-  (* Sharding defers shadow queries into batch drains, but a clock
+  (* Sharding defers shadow queries into batch drains, but the clock
      oracle answers against the one evolving active clock — by drain
      time it has moved past the access.  The fused order keeps every
      node's label live, so only it supports deferred queries. *)
   if oracle <> Sp_fused && shards > 1 then
-    invalid_arg "Server.create: clock oracles (hb-vector, hb-tree) require shards = 1";
+    invalid_arg "Server.create: the hb-vector oracle requires shards = 1";
   let sp = Sp_stream.create () in
-  let clock =
-    match oracle with
-    | Sp_fused -> None
-    | Hb_vector -> Some (Spr_hb.Stream_clock.vector ())
-    | Hb_tree -> Some (Spr_hb.Stream_clock.tree ())
-  in
+  let clock = match oracle with Sp_fused -> None | Hb_vector -> Some (Stream_clock.create ()) in
   let precedes =
-    match clock with
-    | Some c -> c.Spr_hb.Stream_clock.precedes
-    | None -> Sp_stream.precedes sp
+    match clock with Some c -> Stream_clock.precedes c | None -> Sp_stream.precedes sp
   in
   let shard_arr =
     if shards = 1 then [||]
@@ -244,7 +237,7 @@ let rec body t s =
        while this domain waits in [flush]. *)
     Sp_stream.thread t.sp tid;
     t.cur_tid <- tid;
-    (match t.clock with Some c -> c.Spr_hb.Stream_clock.thread tid | None -> ());
+    (match t.clock with Some c -> Stream_clock.thread c tid | None -> ());
     body t s
   end
   else if tag = Codec.tag_spawn then begin
@@ -252,7 +245,7 @@ let rec body t s =
     charge t 4;
     Sp_stream.spawn t.sp;
     t.cur_tid <- -1;
-    (match t.clock with Some c -> c.Spr_hb.Stream_clock.spawn () | None -> ());
+    (match t.clock with Some c -> Stream_clock.spawn c | None -> ());
     body t s
   end
   else if tag = Codec.tag_return then begin
@@ -260,7 +253,7 @@ let rec body t s =
     if Sp_stream.depth t.sp <= 1 then corrupt_here t "RETURN without a matching SPAWN";
     Sp_stream.return_ t.sp;
     t.cur_tid <- -1;
-    (match t.clock with Some c -> c.Spr_hb.Stream_clock.return_ () | None -> ());
+    (match t.clock with Some c -> Stream_clock.return_ c | None -> ());
     body t s
   end
   else if tag = Codec.tag_sync then begin
@@ -268,7 +261,7 @@ let rec body t s =
     charge t 2;
     Sp_stream.sync t.sp;
     t.cur_tid <- -1;
-    (match t.clock with Some c -> c.Spr_hb.Stream_clock.sync () | None -> ());
+    (match t.clock with Some c -> Stream_clock.sync c | None -> ());
     body t s
   end
   else if tag = Codec.tag_read_locked || tag = Codec.tag_write_locked then begin
@@ -339,7 +332,7 @@ let start_program t s =
   t.cur_tid <- -1;
   t.p_events <- 0;
   t.p_accesses <- 0;
-  (match t.clock with Some c -> c.Spr_hb.Stream_clock.reset () | None -> ());
+  (match t.clock with Some c -> Stream_clock.reset c ~threads | None -> ());
   (* The main procedure's first sync block. *)
   charge t 2
 

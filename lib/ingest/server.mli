@@ -47,19 +47,19 @@ type stats = {
 }
 (** Totals since {!create}. *)
 
-type oracle = Sp_fused | Hb_vector | Hb_tree
+type oracle = Sp_fused | Hb_vector
 (** Which happens-before oracle answers the detector's SP queries.
-    [Sp_fused] (the default) is the fused English/Hebrew order; the
-    clock oracles ({!Spr_hb.Stream_clock}) track happens-before
-    directly on SPAWN/RETURN/SYNC/THREAD frames — an independent code
-    path whose verdicts must stay byte-identical. *)
+    [Sp_fused] (the default) is the fused English/Hebrew order;
+    [Hb_vector] ({!Spr_hb.Stream_clock}) tracks a vector clock directly
+    on SPAWN/RETURN/SYNC/THREAD frames — an independent code path whose
+    verdicts must stay byte-identical. *)
 
 val create : ?shards:int -> ?batch:int -> ?oracle:oracle -> ?runner:runner -> unit -> t
 (** [shards] (default 1) partitions the address space across that many
     domains ([shards - 1] worker domains are spawned unless [runner]
     is given); [batch] (default 8192) is the per-shard batch capacity
     in accesses.  @raise Invalid_argument if [shards] is outside
-    [1, 64], [batch < 1], or a clock [oracle] is combined with
+    [1, 64], [batch < 1], or [Hb_vector] is combined with
     [shards > 1] (sharding defers queries past the evolving clock). *)
 
 val shards : t -> int

@@ -1,10 +1,9 @@
 (* Clock-detector validation (lib/hb): the three-way differential race
-   oracle — sp-order-fused vs vector clocks vs tree clocks, full
-   detection output compared — over 10k random programs and the whole
-   workload registry; the planted clock bugs must each be caught and
-   shrunk; and the asymptotic separation the EXP-HB bench measures
-   (vector joins move Θ(P) words, tree joins touch only the updated
-   subtree) is pinned as an ordering fact on the fork chain. *)
+   oracle — sp-order-fused vs vector clocks vs DePa's fork-path labels,
+   full detection output compared — over 10k random programs and the
+   whole workload registry; the planted clock bugs must each be caught
+   and shrunk; and the join cost the EXP-HB bench measures (a vector
+   join moves Θ(P) words) is pinned exactly on the fork chain. *)
 
 open Spr_prog
 module F = Spr_check.Fuzz
@@ -78,8 +77,8 @@ let catches cfg_algos expect_algo =
 let vector_no_join_caught () =
   catches (F.default_hb_algos @ [ Spr_check.Faulty.hb_vector_no_join ]) "hb-vector-nojoin"
 
-let tree_no_restore_caught () =
-  catches (F.default_hb_algos @ [ Spr_check.Faulty.hb_tree_no_restore ]) "hb-tree-norestore"
+let vector_no_restore_caught () =
+  catches (F.default_hb_algos @ [ Spr_check.Faulty.hb_vector_no_restore ]) "hb-vector-norestore"
 
 (* The healthy detectors must stay silent on the same battery, or the
    two tests above prove only that run_hb fails a lot. *)
@@ -89,50 +88,29 @@ let healthy_detectors_silent () =
   | Some f -> Alcotest.failf "unexpected divergence from %s" f.F.hb_algo
 
 (* ------------------------------------------------------------------ *)
-(* The join-cost separation (what EXP-HB measures, as an invariant):
-   on a P-fork chain a vector-clock join moves Θ(P) words, so total
-   joined words are Θ(P²); a tree-clock join attaches the other root
-   in O(1) amortized, so total joined words stay Θ(P).               *)
+(* The join cost EXP-HB measures, as an exact pin: on a P-fork chain
+   (2P threads) the i-th join folds in a clock 2i - 1 slots wide, P²
+   words in all, so a vector clock's joined words per thread are
+   exactly P/2 — Θ(P) per join.                                        *)
 
-let fork_chain_join_words () =
-  let forks = 256 in
+let joined_words_per_thread forks =
   let tree = Spr_sptree.Tree_gen.fork_chain ~forks in
   let module V = Spr_hb.Sp_clock.Vector in
-  let module T = Spr_hb.Sp_clock.Tree in
   let v = V.create tree in
   Spr_core.Driver.run tree (Sm.Instance ((module V), v));
-  let t = T.create tree in
-  Spr_core.Driver.run tree (Sm.Instance ((module T), t));
-  let vj = V.joined_words v and tj = T.joined_words t in
-  Alcotest.(check bool)
-    (Printf.sprintf "vector joins quadratic vs tree linear (%d vs %d)" vj tj)
-    true
-    (vj > (forks * forks) / 4 && tj < 16 * forks && vj > 10 * tj)
+  V.joined_words v / Spr_sptree.Sp_tree.leaf_count tree
 
-(* Against a doubling of the fork count, vector joined-words-per-fork
-   must double too while the tree clock's stay flat — the crossover
-   shape itself, not just one point of it. *)
+let fork_chain_join_words () =
+  Alcotest.(check int) "joined words per thread at P = 256" 128 (joined_words_per_thread 256)
+
 let fork_chain_join_growth () =
-  let joined forks =
-    let tree = Spr_sptree.Tree_gen.fork_chain ~forks in
-    let module V = Spr_hb.Sp_clock.Vector in
-    let module T = Spr_hb.Sp_clock.Tree in
-    let v = V.create tree in
-    Spr_core.Driver.run tree (Sm.Instance ((module V), v));
-    let t = T.create tree in
-    Spr_core.Driver.run tree (Sm.Instance ((module T), t));
-    (float_of_int (V.joined_words v) /. float_of_int forks,
-     float_of_int (T.joined_words t) /. float_of_int forks)
-  in
-  let v1, t1 = joined 128 and v2, t2 = joined 512 in
-  Alcotest.(check bool)
-    (Printf.sprintf "vector per-fork grows ~4x (%.1f -> %.1f)" v1 v2)
-    true
-    (v2 > 3.0 *. v1);
-  Alcotest.(check bool)
-    (Printf.sprintf "tree per-fork stays flat (%.2f -> %.2f)" t1 t2)
-    true
-    (t2 < 2.0 *. t1 +. 1.0)
+  List.iter
+    (fun p ->
+      Alcotest.(check int)
+        (Printf.sprintf "P = %d -> %d doubles the per-thread count" p (2 * p))
+        (2 * joined_words_per_thread p)
+        (joined_words_per_thread (2 * p)))
+    [ 64; 256; 1024 ]
 
 let () =
   Alcotest.run "hb"
@@ -146,7 +124,7 @@ let () =
       ( "planted bugs",
         [
           Alcotest.test_case "vector no-join caught" `Quick vector_no_join_caught;
-          Alcotest.test_case "tree no-restore caught" `Quick tree_no_restore_caught;
+          Alcotest.test_case "vector no-restore caught" `Quick vector_no_restore_caught;
           Alcotest.test_case "healthy detectors silent" `Quick healthy_detectors_silent;
         ] );
       ( "asymptotics",

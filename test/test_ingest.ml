@@ -487,6 +487,68 @@ let controlled_handoff () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* The vector-clock oracle: the same five walk events as the SP-order
+   construction, and the same verdicts.                                *)
+
+(* A compile-time check only: nothing calls through [WALK]. *)
+module type WALK = sig
+  [@@@warning "-32"]
+
+  type t
+
+  val create : unit -> t
+
+  val reset : t -> threads:int -> unit
+
+  val thread : t -> int -> unit
+
+  val spawn : t -> unit
+
+  val return_ : t -> unit
+
+  val sync : t -> unit
+
+  val precedes : t -> executed:int -> current:int -> bool
+end
+
+module _ : WALK = Spr_core.Sp_stream
+module _ : WALK = Spr_hb.Stream_clock
+
+let check_same ctx (want : Server.program_result) (got : Server.program_result) =
+  Alcotest.(check (list string))
+    (ctx ^ ": races")
+    (List.map race_repr want.Server.races)
+    (List.map race_repr got.Server.races);
+  Alcotest.(check (list int)) (ctx ^ ": racy locs") want.Server.racy_locs got.Server.racy_locs;
+  Alcotest.(check int) (ctx ^ ": sp queries") want.Server.sp_queries got.Server.sp_queries
+
+let clock_server = lazy (Server.create ~oracle:Server.Hb_vector ())
+
+let clock_matches_default ctx srv p =
+  let trace = Codec.capture [ p ] in
+  check_same ctx (run_one ~ctx srv trace) (run_one ~ctx (Lazy.force clock_server) trace)
+
+let clock_registry () =
+  with_server (fun srv ->
+      List.iter
+        (fun name ->
+          List.iter
+            (fun seed ->
+              let p = (Option.get (W.find_opt name)) ~size:(size_for name) ~seed in
+              clock_matches_default (Printf.sprintf "%s seed %d" name seed) srv p)
+            [ 1; 2; 3 ])
+        W.names)
+
+let clock_random =
+  let srv = Server.create () in
+  QCheck2.Test.make ~count:80 ~name:"hb-vector server = default server on random programs"
+    QCheck2.Gen.(pair (0 -- 1_000_000) (2 -- 60))
+    (fun (seed, threads) ->
+      let p = W.random_prog ~rng:(Rng.create seed) ~threads ~locs:8 ~accesses_per_thread:4 () in
+      clock_matches_default (Printf.sprintf "seed %d" seed) srv p;
+      true)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "spr_ingest"
@@ -514,6 +576,11 @@ let () =
           Alcotest.test_case "OM elements on every workload" `Quick om_work_registry;
           QCheck_alcotest.to_alcotest om_work_random;
           Alcotest.test_case "each case matches detect_serial" `Quick construction_cases_match;
+        ] );
+      ( "stream-clock",
+        [
+          Alcotest.test_case "hb-vector = default on every workload" `Quick clock_registry;
+          QCheck_alcotest.to_alcotest clock_random;
         ] );
       ( "decoder",
         [
