@@ -577,7 +577,7 @@ let () =
           QCheck_alcotest.to_alcotest om_work_random;
           Alcotest.test_case "each case matches detect_serial" `Quick construction_cases_match;
         ] );
-      ( "stream-clock",
+      ( "clock",
         [
           Alcotest.test_case "hb-vector = default on every workload" `Quick clock_registry;
           QCheck_alcotest.to_alcotest clock_random;
