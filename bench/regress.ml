@@ -1,6 +1,6 @@
 (* Benchmark regression gates.
 
-   Three modes:
+   Four modes:
 
      regress BASELINE.json CANDIDATE.json [--threshold R]
        Compare bench --json files (schema bench_json.ml).  Every entry
@@ -35,6 +35,16 @@
        in one probe region, and one Spr_race.Drivers.Fused.run on each
        program (the in-memory walk, every access and query) in the
        other.  Either region reading a minor-heap word fails the gate.
+
+     regress --collect-gate [--plant]
+       A same-process ratio gate.  On one resident
+       Spr_ingest.Server, alternate 9 passes of run_string
+       ~collect:true with 9 passes of drive over ~1,000 single-program
+       traces of the small-traces kinds, and fail if the median
+       collect/drive ratio exceeds its bound: materializing each
+       program's races and racy locations must stay a small surcharge
+       on detecting them.  --plant runs the collect side twice, which
+       must trip the gate.
 
      regress --probe-gate [--max-ns F]
        Bechamel-measure an uninstalled Spr_obs.Probe.span and fail if
@@ -310,6 +320,91 @@ let alloc_gate_ingest ~plant ~iters () =
   else Printf.printf "alloc-gate: OK — detection steady state is allocation-free\n"
 
 (* ------------------------------------------------------------------ *)
+(* Mode 2c: the result-collection ratio gate.                          *)
+
+(* The kinds and sizes of the small-traces benchmark workload, drawn
+   from the seed the same way: fib and matmul sizes are exponential
+   and cubic, the rest are linear. *)
+let small_kinds =
+  [|
+    "dcsum-buggy";
+    "mergesort-buggy";
+    "matmul-buggy";
+    "random";
+    "adversarial";
+    "shared-readers";
+    "fib";
+    "locked-buggy";
+  |]
+
+let small_programs ~count ~seed =
+  let rng = Spr_util.Rng.create seed in
+  List.init count (fun _ ->
+      let kind = Spr_util.Rng.choose rng small_kinds in
+      let size =
+        match kind with
+        | "fib" -> Spr_util.Rng.int_in rng 8 13
+        | "matmul-buggy" -> Spr_util.Rng.int_in rng 8 16
+        | _ -> Spr_util.Rng.int_in rng 16 255
+      in
+      (Option.get (Spr_workloads.Progs.find_opt kind)) ~size ~seed:(Spr_util.Rng.int rng 1_000_000))
+
+(* The collect/drive bound.  Both sides run on one resident server in
+   one process, alternating, so the ratio needs no baseline from the
+   same machine.  Materializing the results costs the race list and
+   the racy locations on top of detection.  Three runs of 9
+   alternations on a 2-core VM read medians of 1.24-1.29; with the
+   racy locations sorted by polymorphic [compare] over every race and
+   the whole shadow cleared per program, three runs read 1.66-1.78.
+   The bound sits between the two. *)
+let collect_bound = 1.5
+
+(* One program per request, as [spingest run] and the small-traces
+   workload send them: [run_string ~collect:true] against [drive] on
+   the same captured traces, alternating, each pass timed whole.
+   [plant] runs the collect side twice, which must trip the gate. *)
+let collect_gate ~plant ~alternations () =
+  let traces =
+    Array.of_list
+      (List.map (fun p -> Spr_ingest.Codec.capture [ p ]) (small_programs ~count:1000 ~seed:1))
+  in
+  let srv = Server.create () in
+  let collect () =
+    Array.iter (fun s -> ignore (Sys.opaque_identity (Server.run_string ~collect:true srv s))) traces
+  in
+  let drive () = Array.iter (Server.drive srv) traces in
+  let timed f =
+    let t0 = Bench_util.now () in
+    f ();
+    Bench_util.now () -. t0
+  in
+  (* Warm up both sides to steady state (shadow width, OM capacity). *)
+  collect ();
+  drive ();
+  let st0 = Server.stats srv in
+  let ratios =
+    Array.init alternations (fun _ ->
+        let c = timed (fun () -> collect (); if plant then collect ()) in
+        c /. timed drive)
+  in
+  Server.close srv;
+  let q = Spr_util.Stats.quantile ratios in
+  let med = q 0.5 in
+  Printf.printf
+    "collect-gate: %d programs (%d events, %d races per pass), %d alternations%s\n"
+    (Array.length traces) (st0.Server.events / 2) (st0.Server.races / 2) alternations
+    (if plant then ", collect side run twice" else "");
+  Printf.printf "collect-gate: collect/drive per pass: %s\n"
+    (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.3f") ratios)));
+  Printf.printf "collect-gate: median %.3f (q25 %.3f, q75 %.3f), bound %.2f\n" med (q 0.25)
+    (q 0.75) collect_bound;
+  if med > collect_bound then begin
+    Printf.printf "collect-gate: FAIL — collecting results costs too much over detection\n";
+    exit 1
+  end
+  else Printf.printf "collect-gate: OK\n"
+
+(* ------------------------------------------------------------------ *)
 (* Mode 3: uninstalled-probe overhead gate.                            *)
 
 let probe_gate ~max_ns () =
@@ -345,44 +440,51 @@ let probe_gate ~max_ns () =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let rec parse paths threshold alloc ingest plant probe max_ns iters = function
+  let rec parse paths threshold alloc ingest collect plant probe max_ns iters = function
     | "--threshold" :: v :: rest -> (
         match float_of_string_opt v with
-        | Some r when r >= 1.0 -> parse paths r alloc ingest plant probe max_ns iters rest
+        | Some r when r >= 1.0 -> parse paths r alloc ingest collect plant probe max_ns iters rest
         | _ -> die "--threshold takes a ratio >= 1.0")
     | "--threshold" :: [] -> die "--threshold takes a ratio >= 1.0"
-    | "--alloc-gate" :: rest -> parse paths threshold true ingest plant probe max_ns iters rest
-    | "--ingest" :: rest -> parse paths threshold alloc true plant probe max_ns iters rest
-    | "--plant" :: rest -> parse paths threshold alloc ingest true probe max_ns iters rest
-    | "--probe-gate" :: rest -> parse paths threshold alloc ingest plant true max_ns iters rest
+    | "--alloc-gate" :: rest ->
+        parse paths threshold true ingest collect plant probe max_ns iters rest
+    | "--ingest" :: rest -> parse paths threshold alloc true collect plant probe max_ns iters rest
+    | "--collect-gate" :: rest ->
+        parse paths threshold alloc ingest true plant probe max_ns iters rest
+    | "--plant" :: rest -> parse paths threshold alloc ingest collect true probe max_ns iters rest
+    | "--probe-gate" :: rest ->
+        parse paths threshold alloc ingest collect plant true max_ns iters rest
     | "--max-ns" :: v :: rest -> (
         match float_of_string_opt v with
-        | Some f when f > 0.0 -> parse paths threshold alloc ingest plant probe f iters rest
+        | Some f when f > 0.0 ->
+            parse paths threshold alloc ingest collect plant probe f iters rest
         | _ -> die "--max-ns takes a positive float")
     | "--max-ns" :: [] -> die "--max-ns takes a positive float"
     | "--iters" :: v :: rest -> (
         match int_of_string_opt v with
         | Some i when i > 0 ->
-            parse paths threshold alloc ingest plant probe max_ns (Some i) rest
+            parse paths threshold alloc ingest collect plant probe max_ns (Some i) rest
         | _ -> die "--iters takes a positive int")
     | "--iters" :: [] -> die "--iters takes a positive int"
-    | a :: rest -> parse (a :: paths) threshold alloc ingest plant probe max_ns iters rest
-    | [] -> (List.rev paths, threshold, alloc, ingest, plant, probe, max_ns, iters)
+    | a :: rest -> parse (a :: paths) threshold alloc ingest collect plant probe max_ns iters rest
+    | [] -> (List.rev paths, threshold, alloc, ingest, collect, plant, probe, max_ns, iters)
   in
-  let paths, threshold, alloc, ingest, plant, probe, max_ns, iters =
-    parse [] 1.5 false false false false 5.0 None args
+  let paths, threshold, alloc, ingest, collect, plant, probe, max_ns, iters =
+    parse [] 1.5 false false false false false 5.0 None args
   in
-  match (alloc, ingest, probe, paths) with
+  match (alloc, ingest, collect, probe, paths) with
   (* An ingest iteration is whole detection runs (~500 fork/joins and
      ~800 accesses each), so the default iteration count is scaled down
      from the per-operation gate's. *)
-  | true, true, false, [] ->
+  | true, true, false, false, [] ->
       alloc_gate_ingest ~plant ~iters:(Option.value ~default:2_000 iters) ()
-  | true, false, false, [] ->
+  | true, false, false, false, [] ->
       alloc_gate ~plant ~iters:(Option.value ~default:100_000 iters) ()
-  | false, false, true, [] -> probe_gate ~max_ns ()
-  | false, false, false, [ b; c ] -> compare_mode b c threshold
+  | false, false, true, false, [] when iters = None -> collect_gate ~plant ~alternations:9 ()
+  | false, false, false, true, [] -> probe_gate ~max_ns ()
+  | false, false, false, false, [ b; c ] -> compare_mode b c threshold
   | _ ->
       die
         "usage: regress BASELINE.json CANDIDATE.json [--threshold R] | regress --alloc-gate \
-         [--ingest] [--plant] [--iters N] | regress --probe-gate [--max-ns F]"
+         [--ingest] [--plant] [--iters N] | regress --collect-gate [--plant] | regress \
+         --probe-gate [--max-ns F]"

@@ -319,7 +319,10 @@ let start_program t s =
       t.det <- D.create ~locs ~precedes:t.precedes ();
       t.det_locs <- locs
     end
-    else D.reset t.det
+    else
+      (* [check_access] rejects every location past [locs], so the
+         cells beyond it that a wider program left are never read. *)
+      D.reset_prefix t.det ~upto:locs
   end
   else begin
     let width = max 1 ((locs + t.nshards - 1) / t.nshards) in
@@ -367,10 +370,21 @@ let merged_races t =
           (D.races (Shard.detector sh)))
       t.shard_arr;
     List.sort
-      (fun (s1, i1, _) (s2, i2, _) -> if s1 <> s2 then compare s1 s2 else compare i1 i2)
+      (fun (s1, i1, _) (s2, i2, _) ->
+        if s1 <> s2 then Int.compare s1 s2 else Int.compare i1 i2)
       !tagged
     |> List.map (fun (_, _, r) -> r)
   end
+
+(* Shard [i] owns [\[i * width, (i + 1) * width)], so the shards'
+   sorted location lists, shifted by their bases, concatenate in
+   ascending order with no merge. *)
+let racy_locs t =
+  if t.nshards = 1 then D.racy_locs t.det
+  else
+    List.concat_map
+      (fun sh -> List.map (( + ) (Shard.base sh)) (D.racy_locs (Shard.detector sh)))
+      (Array.to_list t.shard_arr)
 
 let finish_program t ~collect =
   let races_n = program_race_count t in
@@ -386,7 +400,7 @@ let finish_program t ~collect =
       t.shard_arr;
   if collect then begin
     let races = merged_races t in
-    let racy_locs = List.sort_uniq compare (List.map (fun r -> r.D.loc) races) in
+    let racy_locs = racy_locs t in
     t.acc <-
       {
         index = t.index;

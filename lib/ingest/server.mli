@@ -67,7 +67,14 @@ val shards : t -> int
 val run_string : ?collect:bool -> t -> string -> (program_result list, Codec.error) result
 (** Ingest a complete trace.  With [collect:false] race lists are not
     materialized (throughput mode; totals still accumulate in
-    {!stats}).  Any malformed input yields [Error] — never an
+    {!stats}).  With [collect:true] (the default) each program's
+    result costs, on top of detecting it, O(races + d log d) for its d
+    distinct racy locations: the race list in detection order, plus
+    {!Spr_race.Detector.racy_locs} per shard, concatenated shifted by
+    each shard's base (shards own ascending address ranges, so no merge
+    is needed).  With [shards > 1] the race lists are merged back into
+    detection order by a sort on access sequence numbers,
+    O(races log races).  Any malformed input yields [Error] — never an
     exception, never a partial result — and leaves the server ready
     for the next trace.  Publishes [ingest/*] counters to
     {!Spr_obs.Sharded.default}, including per-shard

@@ -33,7 +33,7 @@ let prepare t ~base ~width ~batch =
     t.det <- D.create ~locs:width ~precedes:t.precedes ();
     t.det_width <- width
   end
-  else D.reset t.det;
+  else D.reset_prefix t.det ~upto:width;
   if batch * 3 > Array.length t.buf then t.buf <- Array.make (batch * 3) 0;
   t.cap <- batch;
   t.base_ <- base;

@@ -20,6 +20,8 @@ type t = {
   reader : int array;  (* first reader slot *)
   reader2 : int array;  (* second reader slot *)
   races : race Spr_util.Vec.t;
+  marks : Bytes.t;  (* per location: '\001' only inside [racy_locs] *)
+  seen : int Spr_util.Vec.t;  (* [racy_locs]'s first-seen locations, reused *)
   precedes : executed:int -> current:int -> bool;
   mutable queries : int;
   (* Shadow reference counts, for the release protocol. *)
@@ -34,6 +36,8 @@ let create ?on_unreferenced ?(sink = Spr_obs.Sink.null) ~locs ~precedes () =
     reader = Array.make (max 1 locs) empty;
     reader2 = Array.make (max 1 locs) empty;
     races = Spr_util.Vec.create ();
+    marks = Bytes.make (max 1 locs) '\000';
+    seen = Spr_util.Vec.create ();
     precedes;
     queries = 0;
     refs = Hashtbl.create 64;
@@ -43,14 +47,21 @@ let create ?on_unreferenced ?(sink = Spr_obs.Sink.null) ~locs ~precedes () =
 
 (* Rewind to the create-time state without allocating (the Hashtbl is
    only touched when the release protocol is armed — [Hashtbl.reset]
-   itself allocates a fresh bucket array). *)
-let reset t =
-  Array.fill t.writer 0 (Array.length t.writer) empty;
-  Array.fill t.reader 0 (Array.length t.reader) empty;
-  Array.fill t.reader2 0 (Array.length t.reader2) empty;
+   itself allocates a fresh bucket array).  Only the [upto] prefix of
+   the shadow is cleared: a resident caller that rejects every
+   location past it never reads the stale cells beyond.  [upto] is a
+   plain label, not an optional argument: without flambda a caller
+   boxes an optional argument in a fresh [Some] block on every call. *)
+let reset_prefix t ~upto =
+  let n = min upto (Array.length t.writer) in
+  Array.fill t.writer 0 n empty;
+  Array.fill t.reader 0 n empty;
+  Array.fill t.reader2 0 n empty;
   Spr_util.Vec.clear t.races;
   t.queries <- 0;
   if Hashtbl.length t.refs > 0 then Hashtbl.reset t.refs
+
+let reset t = reset_prefix t ~upto:(Array.length t.writer)
 
 (* Drop one reference to [o]; notify when it leaves shadow memory. *)
 let unref t o =
@@ -167,8 +178,23 @@ let races t = Spr_util.Vec.to_list t.races
 
 let race_count t = Spr_util.Vec.length t.races
 
+(* One pass over the races marks each location and keeps the first
+   sighting of each; only those d locations are sorted, listed and
+   unmarked, so the cost is O(races + d log d) however wide the
+   shadow is. *)
 let racy_locs t =
-  List.sort_uniq compare (List.map (fun r -> r.loc) (races t))
+  for i = 0 to Spr_util.Vec.length t.races - 1 do
+    let loc = (Spr_util.Vec.get t.races i).loc in
+    if Bytes.get t.marks loc = '\000' then begin
+      Bytes.set t.marks loc '\001';
+      Spr_util.Vec.push t.seen loc
+    end
+  done;
+  let locs = Spr_util.Vec.to_array t.seen in
+  Spr_util.Vec.clear t.seen;
+  Array.iter (fun loc -> Bytes.set t.marks loc '\000') locs;
+  Array.sort Int.compare locs;
+  Array.fold_right List.cons locs []
 
 let query_count t = t.queries
 

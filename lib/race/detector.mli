@@ -69,6 +69,16 @@ val reset : t -> unit
     what lets the end-to-end pipeline re-run a program with zero minor
     words. *)
 
+val reset_prefix : t -> upto:int -> unit
+(** {!reset}, clearing only the shadow cells of locations
+    [\[0, upto)], so that it costs O([upto]) instead of O([locs]).
+    The cells past [upto] keep whatever an earlier run left in them:
+    until the next reset that covers them, the caller must access no
+    location [>= upto].  A resident server passes the next program's
+    declared location count and rejects every access beyond it.
+    Allocates nothing, like {!reset}.  @raise Invalid_argument if
+    [upto < 0]. *)
+
 val access : t -> current:int -> Spr_prog.Fj_program.access -> unit
 (** Record one access by the currently executing thread.  The shadow
     slots are packed [int] arrays, so an access allocates only when a
@@ -89,7 +99,13 @@ val race_count : t -> int
 (** [List.length (races t)], without building the list. *)
 
 val racy_locs : t -> int list
-(** Sorted, deduplicated locations involved in reported races. *)
+(** Sorted, deduplicated locations involved in reported races — equal
+    to [List.sort_uniq compare (List.map (fun r -> r.loc) (races t))].
+    One pass over the races marks each location in a per-detector
+    byte array sized at {!create}; the d distinct locations are then
+    sorted and their marks cleared, so a call costs
+    O(races + d log d), independent of [locs], and leaves the
+    detector as it found it. *)
 
 val query_count : t -> int
 (** SP queries issued (for Corollary 6 accounting). *)

@@ -38,6 +38,14 @@ let check_result ctx (want : Drivers.serial_result) (got : Server.program_result
   Alcotest.(check (list int)) (ctx ^ ": racy locs") want.Drivers.racy_locs got.Server.racy_locs;
   Alcotest.(check int) (ctx ^ ": sp queries") want.Drivers.sp_queries got.Server.sp_queries
 
+let check_same ctx (want : Server.program_result) (got : Server.program_result) =
+  Alcotest.(check (list string))
+    (ctx ^ ": races")
+    (List.map race_repr want.Server.races)
+    (List.map race_repr got.Server.races);
+  Alcotest.(check (list int)) (ctx ^ ": racy locs") want.Server.racy_locs got.Server.racy_locs;
+  Alcotest.(check int) (ctx ^ ": sp queries") want.Server.sp_queries got.Server.sp_queries
+
 let run_one ?(ctx = "run") srv trace =
   match Server.run_string srv trace with
   | Ok [ r ] -> r
@@ -170,6 +178,47 @@ let sharded_random_matches_serial =
       List.map race_repr want.Drivers.races = List.map race_repr got.Server.races
       && want.Drivers.sp_queries = got.Server.sp_queries)
 
+(* Racy locations through 1, 2 and 4 shards: each shard lists its own
+   ascending range, the server concatenates them shifted by the shard
+   bases, and the result must equal the single-shard list and the
+   sort-and-dedup definition over the merged races. *)
+let shard_servers = lazy (List.map (fun shards -> Server.create ~shards ~batch:16 ()) [ 1; 2; 4 ])
+
+let racy_locs_across_shards ctx p =
+  let trace = Codec.capture [ p ] in
+  match List.map (fun srv -> run_one ~ctx srv trace) (Lazy.force shard_servers) with
+  | [] -> assert false
+  | serial :: sharded ->
+      let want =
+        List.sort_uniq compare
+          (List.map (fun (r : Spr_race.Detector.race) -> r.loc) serial.Server.races)
+      in
+      Alcotest.(check (list int)) (ctx ^ ": 1 shard = sort_uniq") want serial.Server.racy_locs;
+      List.iter2
+        (fun shards (got : Server.program_result) ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: %d shards" ctx shards)
+            want got.Server.racy_locs)
+        [ 2; 4 ] sharded
+
+let racy_locs_registry () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun seed ->
+          let p = (Option.get (W.find_opt name)) ~size:(size_for name) ~seed in
+          racy_locs_across_shards (Printf.sprintf "%s seed %d" name seed) p)
+        [ 1; 2; 3 ])
+    W.names
+
+let racy_locs_random =
+  QCheck2.Test.make ~count:60 ~name:"racy locs equal across 1, 2 and 4 shards"
+    QCheck2.Gen.(triple (0 -- 1_000_000) (2 -- 50) (1 -- 100))
+    (fun (seed, threads, locs) ->
+      let p = W.random_prog ~rng:(Rng.create seed) ~threads ~locs ~accesses_per_thread:4 () in
+      racy_locs_across_shards (Printf.sprintf "seed %d" seed) p;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* 4. Residency: in-place reset across programs, stable answers.       *)
 
@@ -191,6 +240,34 @@ let resident_reuse () =
         "accesses accumulate"
         (2 * Fj.access_count a + Fj.access_count b)
         st.Server.accesses)
+
+(* A resident server clears only the shadow prefix the next program
+   declares.  Alternating wide and narrow racy programs leaves stale
+   cells past every narrow program's range, and a wide program after a
+   narrow one needs the cells the narrow reset skipped cleared again:
+   every result must equal a fresh server's.  Dense accesses make each
+   program touch every location it declares. *)
+let reset_prefix () =
+  let prog ~seed ~locs =
+    W.random_prog ~rng:(Rng.create seed) ~threads:40 ~locs ~accesses_per_thread:32 ()
+  in
+  let cases =
+    [
+      ("wide", prog ~seed:1 ~locs:64);
+      ("narrow", prog ~seed:2 ~locs:8);
+      ("wide again", prog ~seed:3 ~locs:64);
+      ("narrow again", prog ~seed:4 ~locs:8);
+    ]
+  in
+  with_server (fun srv ->
+      List.iter
+        (fun (ctx, p) ->
+          let trace = Codec.capture [ p ] in
+          let fresh = with_server (fun fresh -> run_one ~ctx fresh trace) in
+          let got = run_one ~ctx srv trace in
+          Alcotest.(check bool) (ctx ^ ": racy") true (got.Server.races <> []);
+          check_same ctx fresh got)
+        cases)
 
 (* ------------------------------------------------------------------ *)
 (* 4b. Deep nesting: the fused driver's walk recurses once per nested
@@ -514,14 +591,6 @@ end
 module _ : WALK = Spr_core.Sp_stream
 module _ : WALK = Spr_hb.Stream_clock
 
-let check_same ctx (want : Server.program_result) (got : Server.program_result) =
-  Alcotest.(check (list string))
-    (ctx ^ ": races")
-    (List.map race_repr want.Server.races)
-    (List.map race_repr got.Server.races);
-  Alcotest.(check (list int)) (ctx ^ ": racy locs") want.Server.racy_locs got.Server.racy_locs;
-  Alcotest.(check int) (ctx ^ ": sp queries") want.Server.sp_queries got.Server.sp_queries
-
 let clock_server = lazy (Server.create ~oracle:Server.Hb_vector ())
 
 let clock_matches_default ctx srv p =
@@ -567,9 +636,14 @@ let () =
           Alcotest.test_case "registry differential" `Quick sharded_matches_serial;
           Alcotest.test_case "controlled hand-off" `Quick controlled_handoff;
           QCheck_alcotest.to_alcotest sharded_random_matches_serial;
+          Alcotest.test_case "racy locs on every workload" `Quick racy_locs_registry;
+          QCheck_alcotest.to_alcotest racy_locs_random;
         ] );
       ( "resident",
-        [ Alcotest.test_case "in-place reuse" `Quick resident_reuse ] );
+        [
+          Alcotest.test_case "in-place reuse" `Quick resident_reuse;
+          Alcotest.test_case "wide/narrow reset prefix" `Quick reset_prefix;
+        ] );
       ("deep", [ Alcotest.test_case "fused walk = server at 10^5 levels" `Quick deep_nesting ]);
       ( "om-walk",
         [

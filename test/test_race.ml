@@ -322,6 +322,59 @@ let fused_rerun_deterministic () =
         "matches boxed" boxed.Spr_race.Drivers.racy_locs first.Spr_race.Drivers.racy_locs)
     [ false; true ]
 
+(* ------------------------------------------------------------------ *)
+(* Detector.racy_locs marks each location in a byte array that lives as
+   long as the detector and unmarks only what it marked: it must equal
+   the sort-and-dedup definition, and a second call must find every
+   mark cleared and return the same list.                             *)
+
+module Det = Spr_race.Detector
+
+(* [(definition, first call, second call)] after a fused run of [p]. *)
+let racy_locs_twice p =
+  let t = Spr_race.Drivers.Fused.create p in
+  Spr_race.Drivers.Fused.run t;
+  let d = Spr_race.Drivers.Fused.detector t in
+  let want = List.sort_uniq compare (List.map (fun (r : Det.race) -> r.Det.loc) (Det.races d)) in
+  let first = Det.racy_locs d in
+  (want, first, Det.racy_locs d)
+
+let racy_locs_size = function
+  | "fib" | "matmul" | "matmul-buggy" -> 8
+  | "serial" | "deep" | "locked" | "locked-buggy" -> 16
+  | "wide" | "shared-readers" | "dcsum" | "dcsum-buggy" -> 32
+  | _ -> 64
+
+let racy_locs_registry () =
+  let widest = ref 0 in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun seed ->
+          let p = (Option.get (W.find_opt name)) ~size:(racy_locs_size name) ~seed in
+          let want, first, second = racy_locs_twice p in
+          let ctx = Printf.sprintf "%s seed %d" name seed in
+          Alcotest.(check (list int)) (ctx ^ ": = sort_uniq of races") want first;
+          Alcotest.(check (list int)) (ctx ^ ": second call") want second;
+          widest := max !widest (List.length want))
+        [ 1; 2; 3 ])
+    W.names;
+  (* More distinct locations than the first-seen vector's initial 8
+     slots, so its growth is exercised too. *)
+  Alcotest.(check bool) (Printf.sprintf "some program has > 8 racy locs (%d)" !widest) true
+    (!widest > 8)
+
+let racy_locs_random =
+  QCheck2.Test.make ~count:200 ~name:"racy_locs = sort_uniq of race locs, twice"
+    QCheck2.Gen.(triple (0 -- 1_000_000) (2 -- 60) (1 -- 200))
+    (fun (seed, threads, locs) ->
+      let p =
+        W.random_prog ~rng:(Rng.create seed) ~threads ~spawn_prob:0.5 ~locs
+          ~accesses_per_thread:6 ()
+      in
+      let want, first, second = racy_locs_twice p in
+      want = first && want = second)
+
 (* Corollary 6 bookkeeping: O(1) queries per access. *)
 let query_budget () =
   let p = W.dc_sum ~leaves:64 () in
@@ -345,6 +398,8 @@ let () =
           Alcotest.test_case "query budget" `Quick query_budget;
           Alcotest.test_case "release protocol" `Quick releasing_matches_plain;
           Alcotest.test_case "fused pipeline rerun determinism" `Quick fused_rerun_deterministic;
+          Alcotest.test_case "racy_locs on every workload" `Quick racy_locs_registry;
+          QCheck_alcotest.to_alcotest racy_locs_random;
           QCheck_alcotest.to_alcotest fused_matches_serial;
           QCheck_alcotest.to_alcotest random_serial_matches_naive;
           QCheck_alcotest.to_alcotest releasing_matches_naive;
