@@ -1,6 +1,6 @@
 (* Benchmark regression gates.
 
-   Four modes:
+   Five modes:
 
      regress BASELINE.json CANDIDATE.json [--threshold R]
        Compare bench --json files (schema bench_json.ml).  Every entry
@@ -45,6 +45,18 @@
        program's races and racy locations must stay a small surcharge
        on detecting them.  --plant runs the collect side twice, which
        must trip the gate.
+
+     regress --inproc-gate [--plant]
+       A same-process ratio gate for the resident serial detector.
+       Over ~300,000 access events of spmix programs, alternate 9
+       passes of Spr_race.Drivers.detect_serial_fused on each program
+       with 9 passes of run_string ~collect:true on each program's
+       trace through one resident Spr_ingest.Server (both sides build
+       the same result lists), and fail if the median fused/server
+       ratio exceeds its bound: detecting a program in memory must not
+       cost more than decoding and detecting its trace.  --plant runs
+       the fused side on a fresh pipeline per program (Fused.create +
+       run + result), which must trip the gate.
 
      regress --probe-gate [--max-ns F]
        Bechamel-measure an uninstalled Spr_obs.Probe.span and fail if
@@ -349,6 +361,30 @@ let small_programs ~count ~seed =
       in
       (Option.get (Spr_workloads.Progs.find_opt kind)) ~size ~seed:(Spr_util.Rng.int rng 1_000_000))
 
+let timed f =
+  let t0 = Bench_util.now () in
+  f ();
+  Bench_util.now () -. t0
+
+(* One [run_string ~collect:true] per trace on a resident server. *)
+let collect_all srv traces =
+  Array.iter (fun s -> ignore (Sys.opaque_identity (Server.run_string ~collect:true srv s))) traces
+
+(* Print every pass ratio and the median with its quartiles; exit 1
+   when the median exceeds [bound]. *)
+let ratio_verdict ~gate ~sides ~bound ~fail ratios =
+  let q = Spr_util.Stats.quantile ratios in
+  let med = q 0.5 in
+  Printf.printf "%s: %s per pass: %s\n" gate sides
+    (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.3f") ratios)));
+  Printf.printf "%s: median %.3f (q25 %.3f, q75 %.3f), bound %.2f\n" gate med (q 0.25) (q 0.75)
+    bound;
+  if med > bound then begin
+    Printf.printf "%s: FAIL — %s\n" gate fail;
+    exit 1
+  end
+  else Printf.printf "%s: OK\n" gate
+
 (* The collect/drive bound.  Both sides run on one resident server in
    one process, alternating, so the ratio needs no baseline from the
    same machine.  Materializing the results costs the race list and
@@ -369,15 +405,8 @@ let collect_gate ~plant ~alternations () =
       (List.map (fun p -> Spr_ingest.Codec.capture [ p ]) (small_programs ~count:1000 ~seed:1))
   in
   let srv = Server.create () in
-  let collect () =
-    Array.iter (fun s -> ignore (Sys.opaque_identity (Server.run_string ~collect:true srv s))) traces
-  in
+  let collect () = collect_all srv traces in
   let drive () = Array.iter (Server.drive srv) traces in
-  let timed f =
-    let t0 = Bench_util.now () in
-    f ();
-    Bench_util.now () -. t0
-  in
   (* Warm up both sides to steady state (shadow width, OM capacity). *)
   collect ();
   drive ();
@@ -388,21 +417,59 @@ let collect_gate ~plant ~alternations () =
         c /. timed drive)
   in
   Server.close srv;
-  let q = Spr_util.Stats.quantile ratios in
-  let med = q 0.5 in
   Printf.printf
     "collect-gate: %d programs (%d events, %d races per pass), %d alternations%s\n"
     (Array.length traces) (st0.Server.events / 2) (st0.Server.races / 2) alternations
     (if plant then ", collect side run twice" else "");
-  Printf.printf "collect-gate: collect/drive per pass: %s\n"
-    (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%.3f") ratios)));
-  Printf.printf "collect-gate: median %.3f (q25 %.3f, q75 %.3f), bound %.2f\n" med (q 0.25)
-    (q 0.75) collect_bound;
-  if med > collect_bound then begin
-    Printf.printf "collect-gate: FAIL — collecting results costs too much over detection\n";
-    exit 1
-  end
-  else Printf.printf "collect-gate: OK\n"
+  ratio_verdict ~gate:"collect-gate" ~sides:"collect/drive" ~bound:collect_bound
+    ~fail:"collecting results costs too much over detection" ratios
+
+(* ------------------------------------------------------------------ *)
+(* Mode 2d: the resident serial detector's ratio gate.                 *)
+
+(* The fused/server bound.  [detect_serial_fused] walks the program in
+   memory through the same SP-order construction and shadow checks the
+   server drives from decoded frames, so with its pipeline resident it
+   should cost no more than the server.  On a 2-core VM the resident
+   pipeline reads a median near 0.9; a fresh, cold pipeline per program
+   (the [--plant] side) reads near 1.8.  The bound sits between. *)
+let inproc_bound = 1.3
+
+let inproc_gate ~plant ~alternations () =
+  let programs = Array.of_list (Spr_ingest.Ingest_bench.spmix ~events:300_000 ~seed:1) in
+  let traces = Array.map (fun p -> Spr_ingest.Codec.capture [ p ]) programs in
+  let srv = Server.create () in
+  let detect =
+    if plant then (fun p ->
+      let f = Fused.create p in
+      Fused.run f;
+      Fused.result f)
+    else Spr_race.Drivers.detect_serial_fused
+  in
+  let fused () = Array.iter (fun p -> ignore (Sys.opaque_identity (detect p))) programs in
+  let server () = collect_all srv traces in
+  (* Warm both sides up, and check that they find the same races with
+     the same queries, so the ratio compares equal work. *)
+  let races, queries =
+    Array.fold_left
+      (fun (r, q) p ->
+        let res = detect p in
+        (r + List.length res.Spr_race.Drivers.races, q + res.Spr_race.Drivers.sp_queries))
+      (0, 0) programs
+  in
+  server ();
+  let st0 = Server.stats srv in
+  if races <> st0.Server.races || queries <> st0.Server.sp_queries then
+    die "inproc-gate: the two sides disagree (%d/%d races, %d/%d queries; internal bug)" races
+      st0.Server.races queries st0.Server.sp_queries;
+  let ratios = Array.init alternations (fun _ -> timed fused /. timed server) in
+  Server.close srv;
+  Printf.printf
+    "inproc-gate: %d programs (%d accesses, %d races per pass), %d alternations%s\n"
+    (Array.length programs) st0.Server.accesses races alternations
+    (if plant then ", fresh pipeline per program" else "");
+  ratio_verdict ~gate:"inproc-gate" ~sides:"fused/server" ~bound:inproc_bound
+    ~fail:"in-process detection costs more than the server's" ratios
 
 (* ------------------------------------------------------------------ *)
 (* Mode 3: uninstalled-probe overhead gate.                            *)
@@ -440,51 +507,61 @@ let probe_gate ~max_ns () =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let rec parse paths threshold alloc ingest collect plant probe max_ns iters = function
+  let gate ratio g =
+    if ratio <> None && ratio <> Some g then die "--collect-gate and --inproc-gate are exclusive";
+    Some g
+  in
+  let rec parse paths threshold alloc ingest ratio plant probe max_ns iters = function
     | "--threshold" :: v :: rest -> (
         match float_of_string_opt v with
-        | Some r when r >= 1.0 -> parse paths r alloc ingest collect plant probe max_ns iters rest
+        | Some r when r >= 1.0 -> parse paths r alloc ingest ratio plant probe max_ns iters rest
         | _ -> die "--threshold takes a ratio >= 1.0")
     | "--threshold" :: [] -> die "--threshold takes a ratio >= 1.0"
     | "--alloc-gate" :: rest ->
-        parse paths threshold true ingest collect plant probe max_ns iters rest
-    | "--ingest" :: rest -> parse paths threshold alloc true collect plant probe max_ns iters rest
+        parse paths threshold true ingest ratio plant probe max_ns iters rest
+    | "--ingest" :: rest -> parse paths threshold alloc true ratio plant probe max_ns iters rest
     | "--collect-gate" :: rest ->
-        parse paths threshold alloc ingest true plant probe max_ns iters rest
-    | "--plant" :: rest -> parse paths threshold alloc ingest collect true probe max_ns iters rest
+        parse paths threshold alloc ingest (gate ratio `Collect) plant probe max_ns iters rest
+    | "--inproc-gate" :: rest ->
+        parse paths threshold alloc ingest (gate ratio `Inproc) plant probe max_ns iters rest
+    | "--plant" :: rest -> parse paths threshold alloc ingest ratio true probe max_ns iters rest
     | "--probe-gate" :: rest ->
-        parse paths threshold alloc ingest collect plant true max_ns iters rest
+        parse paths threshold alloc ingest ratio plant true max_ns iters rest
     | "--max-ns" :: v :: rest -> (
         match float_of_string_opt v with
         | Some f when f > 0.0 ->
-            parse paths threshold alloc ingest collect plant probe f iters rest
+            parse paths threshold alloc ingest ratio plant probe f iters rest
         | _ -> die "--max-ns takes a positive float")
     | "--max-ns" :: [] -> die "--max-ns takes a positive float"
     | "--iters" :: v :: rest -> (
         match int_of_string_opt v with
         | Some i when i > 0 ->
-            parse paths threshold alloc ingest collect plant probe max_ns (Some i) rest
+            parse paths threshold alloc ingest ratio plant probe max_ns (Some i) rest
         | _ -> die "--iters takes a positive int")
     | "--iters" :: [] -> die "--iters takes a positive int"
-    | a :: rest -> parse (a :: paths) threshold alloc ingest collect plant probe max_ns iters rest
-    | [] -> (List.rev paths, threshold, alloc, ingest, collect, plant, probe, max_ns, iters)
+    | a :: rest -> parse (a :: paths) threshold alloc ingest ratio plant probe max_ns iters rest
+    | [] -> (List.rev paths, threshold, alloc, ingest, ratio, plant, probe, max_ns, iters)
   in
-  let paths, threshold, alloc, ingest, collect, plant, probe, max_ns, iters =
-    parse [] 1.5 false false false false false 5.0 None args
+  let paths, threshold, alloc, ingest, ratio, plant, probe, max_ns, iters =
+    parse [] 1.5 false false None false false 5.0 None args
   in
-  match (alloc, ingest, collect, probe, paths) with
+  match (alloc, ingest, ratio, probe, paths) with
   (* An ingest iteration is whole detection runs (~500 fork/joins and
      ~800 accesses each), so the default iteration count is scaled down
      from the per-operation gate's. *)
-  | true, true, false, false, [] ->
+  | true, true, None, false, [] ->
       alloc_gate_ingest ~plant ~iters:(Option.value ~default:2_000 iters) ()
-  | true, false, false, false, [] ->
+  | true, false, None, false, [] ->
       alloc_gate ~plant ~iters:(Option.value ~default:100_000 iters) ()
-  | false, false, true, false, [] when iters = None -> collect_gate ~plant ~alternations:9 ()
-  | false, false, false, true, [] -> probe_gate ~max_ns ()
-  | false, false, false, false, [ b; c ] -> compare_mode b c threshold
+  | false, false, Some `Collect, false, [] when iters = None ->
+      collect_gate ~plant ~alternations:9 ()
+  | false, false, Some `Inproc, false, [] when iters = None ->
+      inproc_gate ~plant ~alternations:9 ()
+  | false, false, None, true, [] -> probe_gate ~max_ns ()
+  | false, false, None, false, [ b; c ] -> compare_mode b c threshold
   | _ ->
       die
         "usage: regress BASELINE.json CANDIDATE.json [--threshold R] | regress --alloc-gate \
          [--ingest] [--plant] [--iters N] | regress --collect-gate [--plant] | regress \
+         --inproc-gate [--plant] | regress \
          --probe-gate [--max-ns F]"

@@ -189,7 +189,7 @@ let trace_cmd_run kind size seed procs out metrics_fmt =
   let h = Spr_hybrid.Sp_hybrid.create ~sink p in
   let precedes ~executed ~current = Spr_hybrid.Sp_hybrid.precedes h ~executed ~current in
   let det =
-    Spr_race.Detector.create ~sink ~locs:(Spr_race.Detector.max_loc p + 1) ~precedes ()
+    Spr_race.Detector.create ~sink ~locs:(Spr_prog.Fj_program.max_loc p + 1) ~precedes ()
   in
   (* SP-hybrid under the simulator with the race detector riding on
      each executing thread — the same assembly as `spview detect
@@ -320,7 +320,7 @@ let stats_cmd_run kind size seed procs fmt flight_file =
       let h = Spr_hybrid.Sp_hybrid.create ~sink p in
       let precedes ~executed ~current = Spr_hybrid.Sp_hybrid.precedes h ~executed ~current in
       let det =
-        Spr_race.Detector.create ~sink ~locs:(Spr_race.Detector.max_loc p + 1) ~precedes ()
+        Spr_race.Detector.create ~sink ~locs:(Spr_prog.Fj_program.max_loc p + 1) ~precedes ()
       in
       let on_thread_user h ~wid:_ ~now:_ (u : Spr_prog.Fj_program.thread) =
         let before = Spr_race.Detector.query_count det in

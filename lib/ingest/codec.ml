@@ -114,7 +114,7 @@ let encode_program buf (program : Fj.t) =
   in
   proc (Fj.main program);
   let threads = Fj.thread_count program in
-  let locs = 1 + Spr_race.Detector.max_loc program in
+  let locs = 1 + Fj.max_loc program in
   let nodes = 1 + (2 * (threads + Fj.spawn_count program + !blocks)) in
   V.put buf tag_prog;
   V.put buf threads;

@@ -6,17 +6,19 @@ type item = Run of thread | Spawn of proc
 
 and proc = { pid : int; blocks : item array array }
 
-type t = { main : proc; threads_arr : thread array; nprocs : int }
+type t = { main : proc; threads_arr : thread array; nprocs : int; max_loc : int }
 
 module Builder = struct
   type b = {
     mutable next_tid : int;
     mutable next_pid : int;
+    mutable max_loc : int;
     thr : thread Spr_util.Vec.t;
     mutable closed : bool;
   }
 
-  let create () = { next_tid = 0; next_pid = 0; thr = Spr_util.Vec.create (); closed = false }
+  let create () =
+    { next_tid = 0; next_pid = 0; max_loc = -1; thr = Spr_util.Vec.create (); closed = false }
 
   let check_open b = if b.closed then invalid_arg "Fj_program.Builder: already finished"
 
@@ -24,6 +26,7 @@ module Builder = struct
     check_open b;
     if cost < 1 then invalid_arg "Fj_program.Builder.thread: cost must be >= 1";
     let t = { tid = b.next_tid; cost; accesses = Array.of_list accesses } in
+    List.iter (fun a -> if a.loc > b.max_loc then b.max_loc <- a.loc) accesses;
     b.next_tid <- b.next_tid + 1;
     Spr_util.Vec.push b.thr t;
     t
@@ -40,7 +43,7 @@ module Builder = struct
   let finish b main =
     check_open b;
     b.closed <- true;
-    { main; threads_arr = Spr_util.Vec.to_array b.thr; nprocs = b.next_pid }
+    { main; threads_arr = Spr_util.Vec.to_array b.thr; nprocs = b.next_pid; max_loc = b.max_loc }
 end
 
 let main t = t.main
@@ -50,6 +53,8 @@ let thread_count t = Array.length t.threads_arr
 let proc_count t = t.nprocs
 
 let threads t = t.threads_arr
+
+let max_loc t = t.max_loc
 
 let work t = Array.fold_left (fun acc u -> acc + u.cost) 0 t.threads_arr
 

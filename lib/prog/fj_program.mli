@@ -58,6 +58,11 @@ val proc_count : t -> int
 val threads : t -> thread array
 (** All threads indexed by [tid]. *)
 
+val max_loc : t -> int
+(** Largest location any thread accesses, -1 if none: shadow memory
+    for the program needs [max_loc t + 1] cells.  {!Builder.thread}
+    tracks it as it sees each access, so this is O(1). *)
+
 val work : t -> int
 (** T{_1}: total instruction count of all threads. *)
 

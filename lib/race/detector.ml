@@ -197,9 +197,3 @@ let racy_locs t =
   Array.fold_right List.cons locs []
 
 let query_count t = t.queries
-
-let max_loc program =
-  let m = ref (-1) in
-  Fj_program.iter_threads program (fun u ->
-      Array.iter (fun (a : Fj_program.access) -> if a.loc > !m then m := a.loc) u.Fj_program.accesses);
-  !m

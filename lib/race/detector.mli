@@ -109,7 +109,3 @@ val racy_locs : t -> int list
 
 val query_count : t -> int
 (** SP queries issued (for Corollary 6 accounting). *)
-
-val max_loc : Spr_prog.Fj_program.t -> int
-(** Largest location mentioned by the program (-1 if none); convenience
-    for sizing [locs]. *)

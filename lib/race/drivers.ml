@@ -32,7 +32,7 @@ let detect_serial pt make =
         match !det with
         | Some d -> d
         | None ->
-            let d = Detector.create ~locs:(Detector.max_loc program + 1) ~precedes () in
+            let d = Detector.create ~locs:(Fj_program.max_loc program + 1) ~precedes () in
             det := Some d;
             d
       in
@@ -63,7 +63,7 @@ let detect_serial_releasing pt =
     Spr_core.Sp_order.release sp (leaf tid)
   in
   let det =
-    Detector.create ~on_unreferenced ~locs:(Detector.max_loc program + 1) ~precedes ()
+    Detector.create ~on_unreferenced ~locs:(Fj_program.max_loc program + 1) ~precedes ()
   in
   let peak = ref 0 in
   Spr_sptree.Sp_tree.iter_events tree (fun ev ->
@@ -101,14 +101,28 @@ let detect_serial_releasing pt =
 module Fused = struct
   module Sp = Spr_core.Sp_stream
 
-  type t = { program : Fj_program.t; sp : Sp.t; det : Detector.t }
+  (* [locs] is the detector's shadow width.  [load] recreates the
+     detector only for a wider program, as the server does per trace,
+     so a reused pipeline keeps the widest shadow it has needed. *)
+  type t = {
+    mutable program : Fj_program.t;
+    sp : Sp.t;
+    mutable det : Detector.t;
+    mutable locs : int;
+  }
 
   let create program =
     let sp = Sp.create () in
-    let det =
-      Detector.create ~locs:(Detector.max_loc program + 1) ~precedes:(Sp.precedes sp) ()
-    in
-    { program; sp; det }
+    let locs = Fj_program.max_loc program + 1 in
+    { program; sp; det = Detector.create ~locs ~precedes:(Sp.precedes sp) (); locs }
+
+  let load t program =
+    let locs = Fj_program.max_loc program + 1 in
+    if locs > t.locs then begin
+      t.det <- Detector.create ~locs ~precedes:(Sp.precedes t.sp) ();
+      t.locs <- locs
+    end;
+    t.program <- program
 
   (* Top-level recursion with explicit arguments — nested closures
      would allocate on every run.  The events are the frames
@@ -141,9 +155,11 @@ module Fused = struct
       items t blk (i + 1)
     end
 
+  (* The program touches no cell past its [max_loc], so the stale
+     cells a wider program left beyond it are never read. *)
   let run t =
     Sp.reset t.sp ~threads:(Fj_program.thread_count t.program);
-    Detector.reset t.det;
+    Detector.reset_prefix t.det ~upto:(Fj_program.max_loc t.program + 1);
     proc t (Fj_program.main t.program)
 
   let detector t = t.det
@@ -158,10 +174,28 @@ module Fused = struct
     }
 end
 
+(* One resident pipeline per domain.  A call takes it out of the slot
+   for the whole run — one exchange, so no systhread switch can fall
+   between the read and the clear — and puts it back only once
+   [result] has built its fresh lists.  A call that finds the slot
+   empty (another systhread of the domain is mid-run, or a run raised
+   part-way) builds its own pipeline, so no two calls share state. *)
+let resident : Fused.t option Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make None)
+
 let detect_serial_fused program =
-  let t = Fused.create program in
+  let slot = Domain.DLS.get resident in
+  let t =
+    match Atomic.exchange slot None with
+    | Some t ->
+        Fused.load t program;
+        t
+    | None -> Fused.create program
+  in
   Fused.run t;
-  Fused.result t
+  let r = Fused.result t in
+  Atomic.set slot (Some t);
+  r
 
 type locked_result = { lock_races : Lockset.race list; racy_locs : int list }
 
@@ -215,7 +249,7 @@ let detect_hybrid_locked ?(seed = 1) ?(procs = 4) program =
 let detect_hybrid ?(seed = 1) ?(procs = 4) program =
   let h = Spr_hybrid.Sp_hybrid.create program in
   let precedes ~executed ~current = Spr_hybrid.Sp_hybrid.precedes h ~executed ~current in
-  let det = Detector.create ~locs:(Detector.max_loc program + 1) ~precedes () in
+  let det = Detector.create ~locs:(Fj_program.max_loc program + 1) ~precedes () in
   let on_thread_user h ~wid:_ ~now:_ (u : Fj_program.thread) =
     let before = Detector.query_count det in
     Detector.run_thread det u;

@@ -55,12 +55,14 @@ module Fused : sig
   type t
 
   val create : Spr_prog.Fj_program.t -> t
-  (** Allocate the pipeline for the program; the fused structure
-      grows to the program's size on the first {!run}. *)
+  (** Allocate the pipeline for the program, its shadow sized from
+      {!Spr_prog.Fj_program.max_loc}; the fused structure grows to the
+      program's size on the first {!run}. *)
 
   val run : t -> unit
   (** One full detection pass, in place.  Idempotent across calls —
-      each run rewinds and replays. *)
+      each run rewinds and replays.  The rewind clears only the
+      shadow cells of the program's own locations. *)
 
   val detector : t -> Detector.t
 
@@ -74,8 +76,22 @@ module Fused : sig
 end
 
 val detect_serial_fused : Spr_prog.Fj_program.t -> serial_result
-(** [Fused.create] + [run] + [result] — drop-in comparison point for
-    [detect_serial pt Algorithms.sp_order]. *)
+(** [Fused.run] + [result] on a pipeline resident in the calling
+    domain — drop-in comparison point for
+    [detect_serial pt Algorithms.sp_order], with the same answers as a
+    fresh [Fused.create] + [run] + [result].
+
+    Each domain keeps one pipeline, created by its first call and
+    retargeted at each later call's program: the fused structure, tid
+    table and frame stacks stay at the largest program that domain has
+    run, and the shadow at the widest (it is recreated only when a
+    program is wider), so a call costs its own program's walk, not a
+    create-and-grow.  It keeps no results — every call's lists are
+    fresh — only a reference to the last program until the next call.
+    A call holds the pipeline for its whole run; a concurrent call on
+    the same domain (another systhread), or one after a run that
+    raised, finds none and creates its own, so calls never share
+    state. *)
 
 type locked_result = { lock_races : Lockset.race list; racy_locs : int list }
 

@@ -323,6 +323,90 @@ let fused_rerun_deterministic () =
     [ false; true ]
 
 (* ------------------------------------------------------------------ *)
+(* The resident pipeline: detect_serial_fused reuses one Fused.t per
+   domain, retargeted at each program and cleared only over that
+   program's locations.  Whatever ran on the domain before, a call must
+   answer exactly as a fresh pipeline and the boxed detect_serial do —
+   races in order, racy locations and query count.                    *)
+
+module D = Spr_race.Drivers
+
+let fresh_fused p =
+  let t = D.Fused.create p in
+  D.Fused.run t;
+  D.Fused.result t
+
+let boxed_serial p = D.detect_serial (Prog_tree.of_program p) Spr_core.Algorithms.sp_order
+
+let same_answers (a : D.serial_result) (b : D.serial_result) =
+  a.races = b.races && a.racy_locs = b.racy_locs && a.sp_queries = b.sp_queries
+
+let resident_prog ~seed ~locs =
+  W.random_prog ~rng:(Rng.create seed) ~threads:40 ~spawn_prob:0.5 ~locs
+    ~accesses_per_thread:16 ()
+
+let touches p loc =
+  Array.exists
+    (fun (u : Fj_program.thread) ->
+      Array.exists (fun (a : Fj_program.access) -> a.loc = loc) u.accesses)
+    (Fj_program.threads p)
+
+(* Each narrow program follows a wide one that touched the narrow
+   one's last location, so a reset that stops one cell short leaves a
+   stale shadow cell where the narrow program reads it. *)
+let resident_wide_narrow () =
+  let progs =
+    List.map (fun (seed, locs) -> resident_prog ~seed ~locs) [ (1, 64); (2, 6); (3, 48); (4, 3) ]
+  in
+  List.iteri
+    (fun i p ->
+      let ctx = Printf.sprintf "program %d (max_loc %d)" i (Fj_program.max_loc p) in
+      if i mod 2 = 1 then
+        Alcotest.(check bool)
+          (ctx ^ ": the wide program before touched its last location")
+          true
+          (touches (List.nth progs (i - 1)) (Fj_program.max_loc p));
+      let got = D.detect_serial_fused p in
+      let fresh = fresh_fused p and boxed = boxed_serial p in
+      Alcotest.(check bool) (ctx ^ ": racy") true (boxed.races <> []);
+      Alcotest.(check bool) (ctx ^ ": races = fresh pipeline") true (got.races = fresh.races);
+      Alcotest.(check (list int)) (ctx ^ ": racy_locs = fresh") fresh.racy_locs got.racy_locs;
+      Alcotest.(check int) (ctx ^ ": sp_queries = fresh") fresh.sp_queries got.sp_queries;
+      Alcotest.(check bool) (ctx ^ ": = boxed detect_serial") true (same_answers got boxed))
+    progs
+
+let resident_sequences =
+  QCheck2.Test.make ~count:60 ~name:"resident pipeline = fresh = boxed over program sequences"
+    QCheck2.Gen.(list_size (2 -- 6) (triple (0 -- 1_000_000) (2 -- 60) (0 -- 100)))
+    (fun specs ->
+      List.for_all
+        (fun (seed, threads, locs) ->
+          let p =
+            W.random_prog ~rng:(Rng.create seed) ~threads ~spawn_prob:0.5 ~locs
+              ~accesses_per_thread:5 ()
+          in
+          let got = D.detect_serial_fused p in
+          same_answers got (fresh_fused p) && same_answers got (boxed_serial p))
+        specs)
+
+(* Each domain has its own pipeline: two domains running the same
+   programs at once must both match the reference, pass after pass. *)
+let resident_two_domains () =
+  let progs =
+    List.init 12 (fun i -> resident_prog ~seed:(100 + i) ~locs:(if i mod 2 = 0 then 64 else 5))
+  in
+  let want = List.map fresh_fused progs in
+  let run () =
+    List.init 4 (fun _ ->
+        List.for_all2 (fun p w -> same_answers (D.detect_serial_fused p) w) progs want)
+  in
+  let other = Domain.spawn run in
+  let here = run () in
+  let there = Domain.join other in
+  Alcotest.(check (list bool)) "this domain" [ true; true; true; true ] here;
+  Alcotest.(check (list bool)) "other domain" [ true; true; true; true ] there
+
+(* ------------------------------------------------------------------ *)
 (* Detector.racy_locs marks each location in a byte array that lives as
    long as the detector and unmarks only what it marked: it must equal
    the sort-and-dedup definition, and a second call must find every
@@ -375,6 +459,43 @@ let racy_locs_random =
       let want, first, second = racy_locs_twice p in
       want = first && want = second)
 
+(* ------------------------------------------------------------------ *)
+(* Fj_program.max_loc is tracked by the builder; it must equal a fold
+   over every access, -1 for a program that makes none.               *)
+
+let fold_max_loc p =
+  Array.fold_left
+    (fun m (u : Fj_program.thread) ->
+      Array.fold_left (fun m (a : Fj_program.access) -> max m a.loc) m u.accesses)
+    (-1) (Fj_program.threads p)
+
+let max_loc_random =
+  QCheck2.Test.make ~count:200 ~name:"max_loc = fold over threads"
+    QCheck2.Gen.(triple (0 -- 1_000_000) (1 -- 60) (0 -- 300))
+    (fun (seed, threads, locs) ->
+      let p =
+        W.random_prog ~rng:(Rng.create seed) ~threads ~spawn_prob:0.5 ~locs
+          ~accesses_per_thread:4 ()
+      in
+      let want = fold_max_loc p in
+      Fj_program.max_loc p = want && (locs > 0 || want = -1))
+
+let max_loc_registry () =
+  let b = Fj_program.Builder.create () in
+  let u = Fj_program.Builder.thread b ~cost:1 () in
+  let none = Fj_program.Builder.finish b (Fj_program.Builder.proc b [ [ Fj_program.Run u ] ]) in
+  Alcotest.(check int) "no accesses" (-1) (Fj_program.max_loc none);
+  List.iter
+    (fun name ->
+      List.iter
+        (fun seed ->
+          let p = (Option.get (W.find_opt name)) ~size:(racy_locs_size name) ~seed in
+          Alcotest.(check int)
+            (Printf.sprintf "%s seed %d" name seed)
+            (fold_max_loc p) (Fj_program.max_loc p))
+        [ 1; 2; 3 ])
+    W.names
+
 (* Corollary 6 bookkeeping: O(1) queries per access. *)
 let query_budget () =
   let p = W.dc_sum ~leaves:64 () in
@@ -403,6 +524,17 @@ let () =
           QCheck_alcotest.to_alcotest fused_matches_serial;
           QCheck_alcotest.to_alcotest random_serial_matches_naive;
           QCheck_alcotest.to_alcotest releasing_matches_naive;
+        ] );
+      ( "resident",
+        [
+          Alcotest.test_case "wide/narrow programs on one domain" `Quick resident_wide_narrow;
+          Alcotest.test_case "two domains at once" `Quick resident_two_domains;
+          QCheck_alcotest.to_alcotest resident_sequences;
+        ] );
+      ( "program",
+        [
+          Alcotest.test_case "max_loc on every workload" `Quick max_loc_registry;
+          QCheck_alcotest.to_alcotest max_loc_random;
         ] );
       ( "hybrid",
         [

@@ -149,7 +149,7 @@ let race_detection_real () =
       let h = H.create p in
       let det =
         Spr_race.Detector.create
-          ~locs:(Spr_race.Detector.max_loc p + 1)
+          ~locs:(Fj_program.max_loc p + 1)
           ~precedes:(fun ~executed ~current -> H.precedes h ~executed ~current)
           ()
       in
