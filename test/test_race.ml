@@ -525,7 +525,7 @@ let () =
           QCheck_alcotest.to_alcotest random_serial_matches_naive;
           QCheck_alcotest.to_alcotest releasing_matches_naive;
         ] );
-      ( "resident",
+      ( "reuse",
         [
           Alcotest.test_case "wide/narrow programs on one domain" `Quick resident_wide_narrow;
           Alcotest.test_case "two domains at once" `Quick resident_two_domains;
